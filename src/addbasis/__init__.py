@@ -10,24 +10,15 @@ from .core import (  # noqa: E402,F401
     as_basis,
     basis_range,
     classify,
-    covers,
     format_basis,
     mirror,
     parse_basis,
     sum_coverage,
 )
-from .enumeration import (  # noqa: E402,F401
-    EnumSpec,
-    PartialState,
-    count_admissible,
-    enumerate_admissible,
-    gaps_prune,
-    next_candidates,
-)
+from .enumeration import EnumSpec, enumerate_admissible  # noqa: E402,F401
 from .mitm import (  # noqa: E402,F401
     SearchReport,
     SearchTarget,
-    assemble,
     find_extremal_restricted,
     search_restricted,
     upper_bound_restricted,

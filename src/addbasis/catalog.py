@@ -11,9 +11,9 @@ restricted bases for k = 1..41 (runs of equally spaced elements expanded
 by tools/transcribe_fixtures.py, which re-verifies every row), plus the
 two length-10 bases that attain the nonrestricted extremum.
 
-Also here: text/JSON persistence of search reports, the catalog wire
-format, and a disk cache of enumerated prefix streams keyed by
-(length, min_range, tool version).
+Also here: text/JSON persistence of search reports and a disk cache of
+enumerated prefix streams keyed by (length, min_range, tool version).
+Both text forms are read by core.read_bases.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import Basis, as_basis, format_basis, parse_basis
-from .enumeration import EnumSpec, load_enumeration, save_enumeration
+from .core import Basis, as_basis, format_basis, read_bases
+from .enumeration import EnumSpec, save_enumeration
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mitm import SearchReport
@@ -107,46 +107,6 @@ def known_unrestricted_range(length: int) -> int:
 def known_restricted_range(length: int) -> int:
     """n2*(length) from the default catalog (k <= 41)."""
     return DEFAULT.known_restricted_range(length)
-
-
-# --- catalog wire format: "k n2 n2star provenance", "-" for unknown ---
-
-
-def write_catalog(path, table: CatalogTable = DEFAULT) -> None:
-    lines = ["# k n2 n2star provenance"]
-    for k in sorted(set(table.unrestricted) | set(table.restricted)):
-        n2 = table.unrestricted.get(k)
-        n2s = table.restricted.get(k)
-        prov = table.provenance.get(k, "-")
-        lines.append(
-            f"{k} {'-' if n2 is None else n2} {'-' if n2s is None else n2s} {prov}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_catalog(path) -> CatalogTable:
-    unrestricted: dict[int, int] = {}
-    restricted: dict[int, int] = {}
-    provenance: dict[int, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(None, 3)
-        if len(parts) < 3:
-            raise ValueError(f"{path}: line {lineno}: expected 'k n2 n2star provenance'")
-        try:
-            k = int(parts[0])
-            n2 = None if parts[1] == "-" else int(parts[1])
-            n2s = None if parts[2] == "-" else int(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: bad integer field") from None
-        if n2 is not None:
-            unrestricted[k] = n2
-        if n2s is not None:
-            restricted[k] = n2s
-        provenance[k] = parts[3] if len(parts) > 3 else "-"
-    return CatalogTable(unrestricted, restricted, provenance)
 
 
 # --- published extremal bases ---
@@ -240,27 +200,11 @@ def load_report(path) -> "SearchReport":
         if "count" in doc and doc["count"] != len(bases):
             raise ValueError(f"{path}: count {doc['count']} but {len(bases)} bases")
         return SearchReport(k=doc["k"], n=doc["n"], pivot=doc["pivot"], bases=bases)
-    meta: dict[str, str] = {}
-    bases_list: list[Basis] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            key, _, value = body.partition("=")
-            if value:
-                meta[key.strip()] = value.strip()
-            continue
-        bases_list.append(parse_basis(stripped, lineno))
+    meta, bases_list = read_bases(text.splitlines(), str(path))
     try:
-        k = int(meta["k"])
-        n = int(meta["n"])
-        pivot = int(meta["pivot"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing report header {exc}") from None
-    if "count" in meta and int(meta["count"]) != len(bases_list):
-        raise ValueError(f"{path}: count {meta['count']} but {len(bases_list)} bases")
+        k, n, pivot = (int(meta[key]) for key in ("k", "n", "pivot"))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or bad report header {exc}") from None
     return SearchReport(k=k, n=n, pivot=pivot, bases=tuple(bases_list))
 
 
@@ -272,7 +216,8 @@ class PrefixCache:
 
     A hit returns exactly the list a fresh enumeration would produce; the
     stored header carries the enumeration key and the count guards against
-    truncation.  Stale versions simply miss.
+    truncation.  Entries are written atomically, so an interrupted store
+    leaves no entry and the next load misses.  Stale versions simply miss.
     """
 
     def __init__(self, directory) -> None:
@@ -286,8 +231,9 @@ class PrefixCache:
         path = self.path_for(length, min_range)
         if not path.exists():
             return None
-        meta, bases = load_enumeration(path)
-        if int(meta.get("k", -1)) != length or int(meta.get("min_range", -1)) != min_range:
+        with open(path) as f:
+            meta, bases = read_bases(f, str(path))
+        if meta.get("k") != str(length) or meta.get("min_range") != str(min_range):
             raise ValueError(f"{path}: header does not match its cache key")
         return bases
 

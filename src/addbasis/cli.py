@@ -29,7 +29,7 @@ from .catalog import (
     render_report,
     store_report,
 )
-from .core import BasisError, classify, format_basis, parse_basis
+from .core import classify, format_basis, read_bases
 from .enumeration import EnumSpec, enumerate_admissible, save_enumeration
 from .mitm import SearchTarget, find_extremal_restricted, search_restricted
 from .oracle import DEFAULT_LIMIT, brute_force, format_result
@@ -41,10 +41,13 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _positive(text: str) -> int:
+def _threads(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    cores = os.cpu_count() or 1
+    if not 1 <= value <= cores:
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count between 1 and {cores} (the number of cores), got {text}"
+        )
     return value
 
 
@@ -148,24 +151,17 @@ def _heartbeat(bases, every: int = 1_000_000):
 def cmd_verify(args) -> int:
     try:
         if args.path == "-":
-            lines = sys.stdin.read().splitlines()
+            _, bases = read_bases(sys.stdin, args.path)
         else:
             with open(args.path) as f:
-                lines = f.read().splitlines()
+                _, bases = read_bases(f, args.path)
     except OSError as exc:
         _log(f"error: {exc}")
         return 2
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            basis = parse_basis(stripped, lineno)
-        except BasisError as exc:
-            _log(f"error: {args.path}: {exc}")
-            return 1
-        records.append((basis, classify(basis)))
+    except ValueError as exc:
+        _log(f"error: {exc}")
+        return 1
+    records = [(basis, classify(basis)) for basis in bases]
     if args.format == "json":
         doc = {
             "bases": [
@@ -220,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, threads=True, out=True, cache=False):
         if threads:
-            p.add_argument("--threads", type=_positive, default=os.cpu_count() or 1,
-                           help="worker processes (default: all cores)")
+            p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
+                           help="worker processes, at most the number of cores (default: all)")
         if out:
             p.add_argument("--out", help="write results to this file instead of stdout")
             p.add_argument("--format", choices=("text", "json"), default="text")

@@ -17,7 +17,7 @@ the basis gets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence
 
 Basis = tuple[int, ...]
 
@@ -50,11 +50,6 @@ def as_basis(elements: Iterable[int]) -> Basis:
     return elems
 
 
-def length_of(basis: Sequence[int]) -> int:
-    """Length of a basis: number of elements not counting the leading 0."""
-    return len(basis) - 1
-
-
 @dataclass(frozen=True, slots=True)
 class SumCoverage:
     """Bit vector of pairwise sums of a basis.
@@ -75,43 +70,32 @@ class SumCoverage:
         # lowest zero bit of `bits`, minus one
         return ((~self.bits) & (self.bits + 1)).bit_length() - 2
 
-    def covered_count(self, upto: int) -> int:
-        """Number of covered sums in [0, upto]."""
-        if upto < 0:
-            return 0
-        return (self.bits & ((1 << (upto + 1)) - 1)).bit_count()
 
-    def covers(self, n: int) -> bool:
-        """True iff every integer in [0, n] is a pairwise sum."""
-        mask = (1 << (n + 1)) - 1
-        return self.bits & mask == mask
-
-
-def sum_coverage(basis: Sequence[int]) -> SumCoverage:
-    """Coverage of basis + basis, computed from scratch.
+def sumset_bits(elements: Iterable[int]) -> tuple[int, int]:
+    """(mask, bits) of an increasing set A, computed from scratch: mask
+    has bit a set for every a in A, bits has bit t set iff t is in A + A.
 
     Incremental form of the sumset: with mask = sum of 2^a over a <= a_i,
     shifting mask by a_i contributes exactly the sums involving a_i as the
     larger addend, so OR-ing mask << a_i over increasing a_i is A + A.
+    A need not start at 0 (the search builds un-mirrored suffixes too).
     """
-    bits = 0
     mask = 0
-    for a in basis:
+    bits = 0
+    for a in elements:
         mask |= 1 << a
         bits |= mask << a
-    return SumCoverage(bits, 2 * basis[-1])
+    return mask, bits
+
+
+def sum_coverage(basis: Sequence[int]) -> SumCoverage:
+    """Coverage of basis + basis, computed from scratch."""
+    return SumCoverage(sumset_bits(basis)[1], 2 * basis[-1])
 
 
 def basis_range(basis: Sequence[int]) -> int:
     """n2(A): the largest n such that basis + basis covers [0, n]."""
     return sum_coverage(basis).range
-
-
-def covers(basis: Sequence[int], n: int) -> bool:
-    """True iff basis + basis covers [0, n]."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return sum_coverage(basis).covers(n)
 
 
 def mirror(elements: Iterable[int], b: int) -> tuple[int, ...]:
@@ -175,31 +159,35 @@ def parse_basis(text: str, lineno: int | None = None) -> Basis:
         raise BasisError(where + str(exc)) from None
 
 
-def read_bases(f: TextIO) -> list[Basis]:
-    """Read one basis per line; blank lines and # comments are skipped."""
-    bases = []
-    for lineno, line in enumerate(f, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        bases.append(parse_basis(stripped, lineno))
-    return bases
+def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, str], list[Basis]]:
+    """Read the text format of streams, reports and cache entries.
 
-
-def write_bases(f: TextIO, bases: Iterable[Sequence[int]]) -> int:
-    """Write one basis per line; returns the number written."""
-    count = 0
-    for basis in bases:
-        f.write(format_basis(basis))
-        f.write("\n")
-        count += 1
-    return count
-
-
-def iter_parse(f: TextIO) -> Iterator[Basis]:
-    """Streaming variant of read_bases."""
-    for lineno, line in enumerate(f, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_basis(stripped, lineno)
+    Lines of the form `# key=value` fill the header dict; other `#` lines
+    and blank lines are skipped; every other line is one basis.  When the
+    header carries `count`, it must be an integer equal to the number of
+    bases.  Errors are ValueErrors that name the source and, for a basis
+    line, its line number.
+    """
+    meta: dict[str, str] = {}
+    bases: list[Basis] = []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                key, eq, value = stripped[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+                continue
+            bases.append(parse_basis(stripped, lineno))
+    except BasisError as exc:
+        raise BasisError(f"{name}: {exc}") from None
+    if "count" in meta:
+        try:
+            count = int(meta["count"])
+        except ValueError:
+            raise ValueError(f"{name}: header count {meta['count']!r} is not an integer") from None
+        if count != len(bases):
+            raise ValueError(f"{name}: header count {count} but {len(bases)} bases present")
+    return meta, bases

@@ -23,20 +23,13 @@ merged back in lexicographic order.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .core import (
-    Basis,
-    BasisError,
-    SumCoverage,
-    as_basis,
-    basis_range,
-    format_basis,
-    parse_basis,
-    sum_coverage,
-)
+from .core import Basis, as_basis, basis_range, format_basis, sumset_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,58 +72,15 @@ def _stem_admissible(stem: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class PartialState:
-    """A partial basis during the search, with its coverage kept in sync."""
-
-    elements: Basis
-    coverage: SumCoverage
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int]) -> "PartialState":
-        basis = as_basis(elements)
-        return cls(basis, sum_coverage(basis))
-
-    def extend(self, a: int) -> "PartialState":
-        """State after appending a; incremental, no recomputation."""
-        if a <= self.elements[-1]:
-            raise BasisError(f"element {a} does not extend {self.elements}")
-        mask = 0
-        for e in self.elements:
-            mask |= 1 << e
-        mask |= 1 << a
-        return PartialState(
-            self.elements + (a,),
-            SumCoverage(self.coverage.bits | (mask << a), 2 * a),
-        )
-
-    def covered_count(self, upto: int) -> int:
-        return self.coverage.covered_count(upto)
-
-
-def next_candidates(state: PartialState) -> range:
-    """Admissible extensions of a partial basis: [last + 1, range + 1].
-
-    Empty when the partial basis is itself inadmissible (range < last).
-    """
-    return range(state.elements[-1] + 1, state.coverage.range + 2)
-
-
-def gaps_prune(state: PartialState, remaining: int, target: int) -> bool:
-    """True iff no completion with `remaining` more elements can reach
-    range >= target, by the new-sums counting bound."""
-    if remaining < 0:
-        raise ValueError(f"remaining must be >= 0, got {remaining}")
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
-    i = len(state.elements) - 1
-    bound = remaining * (i + 1) + remaining * (remaining + 1) // 2
-    return state.covered_count(target) + bound < target + 1
-
-
 def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bool) -> Iterator[Basis]:
-    """DFS core.  Mirrors PartialState/next_candidates/gaps_prune with the
-    state kept in plain locals; the differential tests pin the equivalence."""
+    """DFS core: every admissible extension of `stem` to `length`, with
+    range >= min_range, in lexicographic order.
+
+    The node state (element mask and sum coverage) lives on explicit
+    stacks and is updated incrementally per element.  Candidates are
+    [last + 1, first gap]; with prune=True the counting cut of the module
+    docstring drops a node whose coverage of [0, min_range] is too far
+    short.  The soundness property test pins the cut against the oracle."""
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
     # need[n] = sums still missing in [0, min_range] that the counting
@@ -141,11 +91,7 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
         need.append(min_range + 1 - (m * n + m * (m + 1) // 2))
 
     elems = list(stem)
-    mask = 0
-    cov = 0
-    for a in elems:
-        mask |= 1 << a
-        cov |= mask << a
+    mask, cov = sumset_bits(elems)
 
     n0 = len(elems)
     if n0 == kp1:
@@ -201,22 +147,7 @@ def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
     return list(_iter_admissible(depth, 0, tuple(below), False))
 
 
-def _pick_stem_depth(length: int, stem_len: int, processes: int) -> int:
-    # enough stems to keep the pool busy; stem counts grow ~5x per level
-    want = 32 * processes
-    depth = max(stem_len, 2)
-    while depth < length - 1 and count_admissible(depth) < want:
-        depth += 1
-    return depth
-
-
-def enumerate_admissible(
-    spec: EnumSpec,
-    *,
-    prune: bool = True,
-    processes: int = 1,
-    stem_depth: int | None = None,
-) -> Iterator[Basis]:
+def enumerate_admissible(spec: EnumSpec, *, prune: bool = True, processes: int = 1) -> Iterator[Basis]:
     """Yield every admissible basis of spec.length with range >= spec.min_range,
     in lexicographic order.
 
@@ -225,58 +156,20 @@ def enumerate_admissible(
     merge back in order.
     """
     stem = spec.stem
-    if processes > 1 and stem_depth is None:
-        stem_depth = _pick_stem_depth(spec.length, len(stem) - 1, processes)
-    if processes <= 1 or stem_depth is None or stem_depth >= spec.length:
+    depth = max(len(stem) - 1, 2)
+    if processes <= 1 or depth >= spec.length:
         yield from _iter_admissible(spec.length, spec.min_range, stem, prune)
         return
-    parts = stems(max(stem_depth, len(stem) - 1), stem)
+    # deepen the stems below spec.stem one level at a time until there are
+    # enough jobs to keep the pool busy; stem counts grow ~5x per level
+    parts = stems(depth, stem)
+    while depth < spec.length - 1 and len(parts) < 32 * processes:
+        depth += 1
+        parts = [s for part in parts for s in stems(depth, part)]
     jobs = [(spec.length, spec.min_range, part, prune) for part in parts]
     with multiprocessing.Pool(processes) as pool:
         for chunk in pool.imap(_collect, jobs, chunksize=1):
             yield from chunk
-
-
-def _count_below(last: int, mask: int, cov: int, n_elem: int, kp1: int) -> int:
-    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
-    if n_elem + 1 == kp1:
-        # every candidate in [last + 1, range + 1] completes admissibly
-        return first_gap - last
-    total = 0
-    for a in range(last + 1, first_gap + 1):
-        m2 = mask | (1 << a)
-        total += _count_below(a, m2, cov | (m2 << a), n_elem + 1, kp1)
-    return total
-
-
-def _count_stem(args: tuple[int, Basis]) -> int:
-    length, stem = args
-    mask = 0
-    cov = 0
-    for a in stem:
-        mask |= 1 << a
-        cov |= mask << a
-    if len(stem) == length + 1:
-        return 1
-    return _count_below(stem[-1], mask, cov, len(stem), length + 1)
-
-
-def count_admissible(length: int, *, processes: int = 1, stem_depth: int | None = None) -> int:
-    """Number of admissible bases of the given length (no range target)."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length == 0:
-        return 1
-    if length == 1:
-        return 1
-    if processes > 1:
-        if stem_depth is None:
-            stem_depth = _pick_stem_depth(length, 1, processes)
-        if stem_depth < length:
-            jobs = [(length, part) for part in stems(stem_depth)]
-            with multiprocessing.Pool(processes) as pool:
-                return sum(pool.imap_unordered(_count_stem, jobs, chunksize=1))
-    return _count_below(1, 0b11, 0b111, 2, length + 1)
 
 
 _COUNT_PAD = 12
@@ -286,48 +179,33 @@ def save_enumeration(path, spec: EnumSpec, bases: Iterable[Sequence[int]]) -> in
     """Stream bases to a file under a header recording what was enumerated.
 
     The count is known only at the end, so a fixed-width placeholder in the
-    header is backpatched once the stream is exhausted.  Returns the count.
+    header is backpatched once the stream is exhausted.  The file is
+    written under a temporary name in the same directory and renamed over
+    `path` only when complete, so an interrupted write (the stream raising,
+    or the process being stopped) never leaves a partial file at `path`.
+    Returns the count.
     """
-    with open(path, "w") as f:
-        f.write(f"# k={spec.length}\n")
-        f.write(f"# min_range={spec.min_range}\n")
-        f.write(f"# version={__version__}\n")
-        f.write("# count=")
-        patch_at = f.tell()
-        f.write(" " * _COUNT_PAD + "\n")
-        count = 0
-        for basis in bases:
-            f.write(format_basis(basis))
-            f.write("\n")
-            count += 1
-        if len(str(count)) > _COUNT_PAD:
-            raise ValueError(f"count {count} exceeds the header field")
-        f.seek(patch_at)
-        f.write(str(count))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(f"# k={spec.length}\n")
+            f.write(f"# min_range={spec.min_range}\n")
+            f.write(f"# version={__version__}\n")
+            f.write("# count=")
+            patch_at = f.tell()
+            f.write(" " * _COUNT_PAD + "\n")
+            count = 0
+            for basis in bases:
+                f.write(format_basis(basis))
+                f.write("\n")
+                count += 1
+            if len(str(count)) > _COUNT_PAD:
+                raise ValueError(f"count {count} exceeds the header field")
+            f.seek(patch_at)
+            f.write(str(count))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
-
-
-def load_enumeration(path) -> tuple[dict[str, str], list[Basis]]:
-    """Read a saved enumeration: ({header key: value}, bases).
-
-    Raises ValueError when the recorded count disagrees with the content.
-    """
-    meta: dict[str, str] = {}
-    bases: list[Basis] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            bases.append(parse_basis(stripped, lineno))
-    if "count" in meta and int(meta["count"]) != len(bases):
-        raise ValueError(
-            f"{path}: header count {meta['count']} but {len(bases)} bases present"
-        )
-    return meta, bases

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
-from .core import Basis, BasisClass, as_basis, classify, mirror
+from .core import Basis, BasisClass, classify, mirror, sumset_bits
 from .enumeration import EnumSpec, enumerate_admissible
 
 Log = Callable[[str], None]
@@ -136,26 +136,6 @@ def upper_bound_restricted(k: int, table: CatalogTable = DEFAULT) -> int:
     return 2 * table.known_unrestricted_range(r - 1) + 2 * table.known_unrestricted_range(r) + 4
 
 
-def assemble(prefix: Sequence[int], mirrored_suffix: Sequence[int], n: int) -> Basis | None:
-    """Glue a prefix and a mirrored suffix back into a length-k candidate.
-
-    The suffix is un-mirrored about n/2; returns None when the parts
-    overlap or interleave (max(prefix) must stay below min of the
-    un-mirrored suffix).  Coverage of [0, n] is NOT checked here.
-    """
-    if n < 0 or n % 2 != 0:
-        raise ValueError(f"a restricted range is even and >= 0, got {n}")
-    p = as_basis(prefix)
-    b = as_basis(mirrored_suffix)
-    half = n // 2
-    if b[-1] > half:
-        raise ValueError(f"mirrored suffix element {b[-1]} exceeds n/2 = {half}")
-    r = tuple(half - x for x in reversed(b))
-    if p[-1] >= r[0]:
-        return None
-    return p + r
-
-
 def _suffix_records(suffixes: Iterable[Basis], half: int):
     """Precompute per-suffix data for the pair scan, sorted so that the
     records compatible with a given prefix form a front run.
@@ -168,26 +148,13 @@ def _suffix_records(suffixes: Iterable[Basis], half: int):
         if b[-1] >= half:
             continue
         r = tuple(half - x for x in reversed(b))
-        mask = 0
-        cov = 0
-        for a in r:
-            mask |= 1 << a
-            cov |= mask << a
-        records.append((r[0], r, mask, cov))
+        records.append((r[0], r, *sumset_bits(r)))
     records.sort(key=lambda rec: (-rec[0], rec[1]))
     return records
 
 
 def _prefix_records(prefixes: Iterable[Basis]):
-    records = []
-    for p in prefixes:
-        mask = 0
-        cov = 0
-        for a in p:
-            mask |= 1 << a
-            cov |= mask << a
-        records.append((p[-1], p, mask, cov))
-    return records
+    return [(p[-1], p, *sumset_bits(p)) for p in prefixes]
 
 
 def _scan_pairs(args) -> list[Basis]:

@@ -1,23 +1,24 @@
 """Tests for the value catalog, fixtures, and persistence."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from addbasis import catalog
 from addbasis.catalog import (
     DEFAULT,
     CatalogMissingError,
+    CatalogTable,
     PrefixCache,
     known_restricted_range,
     known_unrestricted_range,
     load_report,
-    read_catalog,
     render_report,
     store_report,
-    write_catalog,
 )
-from addbasis.core import classify
-from addbasis.mitm import SearchReport
+from addbasis.core import classify, format_basis
+from addbasis.mitm import SearchReport, SearchTarget, _certainly_empty, search_restricted
 
 
 class TestKnownValues:
@@ -56,33 +57,42 @@ class TestKnownValues:
 
 
 class TestCatalogFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "catalog.txt"
-        write_catalog(path)
-        table = read_catalog(path)
-        assert dict(table.unrestricted) == dict(DEFAULT.unrestricted)
-        assert dict(table.restricted) == dict(DEFAULT.restricted)
-        assert dict(table.provenance) == dict(DEFAULT.provenance)
+    """The packaged data files, one "k range S|A elements..." row per
+    published basis, as the catalog reads them; and a partial table."""
 
-    def test_unknown_fields_parse_as_missing(self, tmp_path):
-        path = tmp_path / "partial.txt"
-        path.write_text("# comment\n25 - 228 tables\n30 - 316 tables\n")
-        table = read_catalog(path)
-        assert 25 not in table.unrestricted
-        assert table.restricted[25] == 228
-        assert table.provenance[30] == "tables"
+    @pytest.fixture
+    def data_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        (tmp_path / "data").mkdir()
+        return tmp_path / "data"
 
-    def test_bad_line_reports_position(self, tmp_path):
-        path = tmp_path / "broken.txt"
-        path.write_text("1 2 2 ok\n5 x 16 bad\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_catalog(path)
+    def test_roundtrip(self, restricted_fixtures, data_dir):
+        rows = [f for k in (3, 10) for f in restricted_fixtures[k]]
+        (data_dir / "rows.txt").write_text("# k range S|A elements\n" + "".join(
+            f"{f.length} {f.range} {'S' if f.symmetric else 'A'} {format_basis(f.basis)}\n"
+            for f in rows
+        ))
+        loaded = catalog._load_fixture_file("rows.txt")
+        assert loaded == {3: restricted_fixtures[3], 10: restricted_fixtures[10]}
 
-    def test_short_line_rejected(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("7 26\n")
+    def test_unknown_fields_parse_as_missing(self):
+        table = CatalogTable(unrestricted={}, restricted={25: 228}, provenance={25: "tables"})
+        with pytest.raises(CatalogMissingError):
+            table.known_unrestricted_range(25)
+        assert table.known_restricted_range(25) == 228
+        # a length the table does not know never marks a level empty
+        target = SearchTarget.create(9, 80, 1)
+        assert _certainly_empty(target, DEFAULT) and not _certainly_empty(target, table)
+
+    def test_bad_line_reports_position(self, data_dir):
+        (data_dir / "rows.txt").write_text("3 8 S 0 1 3 4\n5 16 S 0 1 3\n")
+        with pytest.raises(ValueError, match="rows.txt: line 2"):
+            catalog._load_fixture_file("rows.txt")
+
+    def test_short_line_rejected(self, data_dir):
+        (data_dir / "rows.txt").write_text("7 26\n")
         with pytest.raises(ValueError, match="expected"):
-            read_catalog(path)
+            catalog._load_fixture_file("rows.txt")
 
 
 EXPECTED_FIXTURE_COUNTS = {
@@ -220,4 +230,29 @@ class TestPrefixCache:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="count"):
+            cache.load(4, 10)
+
+    def test_interrupted_store_leaves_no_entry(self, tmp_path):
+        cache = PrefixCache(tmp_path)
+        target = SearchTarget.create(5, 16)
+        key = (target.pivot, target.prefix_min_range)
+
+        def interrupted():
+            yield (0, 1, 2)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cache.store(*key, interrupted())
+        assert cache.load(*key) is None
+        assert list(tmp_path.iterdir()) == []
+        report = search_restricted(target, cache=cache)
+        assert report.bases == ((0, 1, 3, 5, 7, 8),)
+        assert cache.load(*key) is not None
+
+    @pytest.mark.parametrize("count", ["", "12x"])
+    def test_damaged_count_names_the_file(self, tmp_path, count):
+        cache = PrefixCache(tmp_path)
+        path = cache.store(4, 10, [(0, 1, 2, 3, 4)])
+        path.write_text(path.read_text().replace("# count=1", f"# count={count}"))
+        with pytest.raises(ValueError, match=f"{path.name}: header count .* not an integer"):
             cache.load(4, 10)

@@ -1,14 +1,15 @@
 """Tests for the command line interface."""
 
 import json
+import os
 
 import pytest
 
 from addbasis import __version__
-from addbasis.catalog import load_report
+from addbasis.catalog import PrefixCache, load_report
 from addbasis.cli import main
-from addbasis.core import parse_basis
-from addbasis.enumeration import EnumSpec, enumerate_admissible, load_enumeration
+from addbasis.core import parse_basis, read_bases
+from addbasis.enumeration import EnumSpec, enumerate_admissible
 
 
 def run(capsys, *argv):
@@ -83,6 +84,21 @@ class TestSearch:
         assert code == 0
         assert list((tmp_path / "envcache").glob("prefixes-*.txt"))
 
+    def test_damaged_cache_entry_is_named(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        path = PrefixCache(cache_dir).path_for(2, 4)
+        path.write_text("# k=2\n# min_range=4\n# count=\n0 1 3\n")
+        code, _, err = run(capsys, "search", "-k", "5", "-n", "16", "--cache-dir", str(cache_dir))
+        assert code == 2
+        assert path.name in err and "count" in err
+
+    def test_threads_above_cores_is_usage_error(self, capsys):
+        too_many = str((os.cpu_count() or 1) + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "-k", "5", "-n", "16", "--threads", too_many])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestExtremal:
     def test_reports_value_and_match(self, capsys, restricted_fixtures):
@@ -137,7 +153,8 @@ class TestEnumerate:
         path = tmp_path / "stream.txt"
         code, _, _ = run(capsys, "enumerate", "-k", "5", "--min-range", "10", "--out", str(path))
         assert code == 0
-        meta, bases = load_enumeration(path)
+        with open(path) as f:
+            meta, bases = read_bases(f, str(path))
         assert int(meta["count"]) == len(bases)
         assert bases == list(enumerate_admissible(EnumSpec(5, 10)))
 
@@ -176,6 +193,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
         assert "line 2" in err
+
+    def test_count_mismatch_fails(self, capsys, tmp_path):
+        path = tmp_path / "bases.txt"
+        path.write_text("# count=2\n0 1 3 4\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert "header count 2 but 1" in err
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))

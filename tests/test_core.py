@@ -1,4 +1,4 @@
-"""Unit and property tests for the sumset kernel."""
+"""Unit and property tests for the sumset kernel and the text format."""
 
 import io
 
@@ -12,14 +12,15 @@ from addbasis.core import (
     as_basis,
     basis_range,
     classify,
-    covers,
     format_basis,
     mirror,
     parse_basis,
     read_bases,
     sum_coverage,
-    write_bases,
+    sumset_bits,
 )
+from addbasis.enumeration import EnumSpec, save_enumeration
+from addbasis.mitm import SearchTarget
 
 bases = st.lists(
     st.integers(min_value=1, max_value=120), max_size=9, unique=True
@@ -76,10 +77,18 @@ class TestSumCoverage:
         assert cov.range == 0
 
     def test_covered_count(self):
-        cov = sum_coverage((0, 1, 5))
-        assert cov.covered_count(4) == 3
-        assert cov.covered_count(-1) == 0
-        assert cov.covered_count(10) == 6
+        # the DFS prune counts the covered sums in [0, T] as a popcount
+        _, bits = sumset_bits((0, 1, 5))
+        assert (bits & ((1 << 5) - 1)).bit_count() == 3
+        assert (bits & ((1 << 11) - 1)).bit_count() == 6
+
+    @given(int_sets)
+    def test_sumset_bits_matches_definition(self, elems):
+        # also for sets that do not start at 0, like un-mirrored suffixes
+        mask, bits = sumset_bits(elems)
+        assert mask == sum(1 << a for a in elems)
+        sums = {a + b for a in elems for b in elems}
+        assert bits == sum(1 << t for t in sums)
 
     @given(bases)
     def test_membership_matches_definition(self, basis):
@@ -102,21 +111,30 @@ class TestRangeAndCovers:
         assert basis_range((0, 1, 3, 4)) == 8
         assert basis_range((0, 2)) == 0
 
+    @staticmethod
+    def covers(basis, n):
+        # the full-mask test that the DFS leaves and the pair scan run
+        full = (1 << (n + 1)) - 1
+        return sumset_bits(basis)[1] & full == full
+
     def test_covers(self):
-        assert covers((0, 1, 3, 4), 8)
-        assert not covers((0, 1, 3, 4), 9)
-        assert covers((0, 1, 3, 4), 0)
+        assert self.covers((0, 1, 3, 4), 8)
+        assert not self.covers((0, 1, 3, 4), 9)
+        assert self.covers((0, 1, 3, 4), 0)
 
     def test_covers_rejects_negative(self):
+        # a negative coverage target is refused where targets enter a search
+        with pytest.raises(ValueError, match=">= 0"):
+            SearchTarget.create(10, -2)
         with pytest.raises(ValueError):
-            covers((0, 1), -1)
+            EnumSpec(3, -1)
 
     @given(bases)
     def test_covers_iff_within_range(self, basis):
         rng = basis_range(basis)
         if rng >= 0:
-            assert covers(basis, rng)
-        assert not covers(basis, rng + 1)
+            assert self.covers(basis, rng)
+        assert not self.covers(basis, rng + 1)
 
 
 class TestMirror:
@@ -205,13 +223,23 @@ class TestTextForm:
             parse_basis("0 2 1", lineno=7)
 
     def test_read_bases_skips_comments_and_reports_lines(self):
-        good = io.StringIO("# header\n0 1\n\n0 1 3 4\n")
-        assert read_bases(good) == [(0, 1), (0, 1, 3, 4)]
+        good = io.StringIO("# header\n# k = 3\n0 1\n\n0 1 3 4\n")
+        assert read_bases(good) == ({"k": "3"}, [(0, 1), (0, 1, 3, 4)])
         bad = io.StringIO("0 1\n0 3 1\n")
-        with pytest.raises(BasisError, match="line 2"):
-            read_bases(bad)
+        with pytest.raises(BasisError, match="bad.txt: line 2"):
+            read_bases(bad, "bad.txt")
 
-    def test_write_bases(self):
-        buf = io.StringIO()
-        assert write_bases(buf, [(0, 1), (0, 1, 2)]) == 2
-        assert buf.getvalue() == "0 1\n0 1 2\n"
+    def test_read_bases_checks_count(self):
+        assert read_bases(["# count=1", "0 1"]) == ({"count": "1"}, [(0, 1)])
+        with pytest.raises(ValueError, match="s.txt: header count 2 but 1"):
+            read_bases(["# count=2", "0 1"], "s.txt")
+        for damaged in ("# count=", "# count=x"):
+            with pytest.raises(ValueError, match="s.txt: header count .* not an integer"):
+                read_bases([damaged, "0 1"], "s.txt")
+
+    def test_write_bases(self, tmp_path):
+        # the writer puts one formatted basis per line under its header
+        path = tmp_path / "stream.txt"
+        assert save_enumeration(path, EnumSpec(2), [(0, 1, 2), (0, 1, 3)]) == 2
+        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert body == ["0 1 2", "0 1 3"]

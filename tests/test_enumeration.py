@@ -1,23 +1,14 @@
 """Tests for the admissible-basis enumerator."""
 
-import itertools
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addbasis.core import basis_range, sum_coverage
-from addbasis.enumeration import (
-    EnumSpec,
-    PartialState,
-    count_admissible,
-    enumerate_admissible,
-    gaps_prune,
-    load_enumeration,
-    next_candidates,
-    save_enumeration,
-    stems,
-)
+from addbasis.catalog import known_unrestricted_range
+from addbasis.core import basis_range, read_bases, sumset_bits
+from addbasis.enumeration import EnumSpec, enumerate_admissible, save_enumeration, stems
 from addbasis.oracle import all_admissible
 
 bases = st.lists(
@@ -25,7 +16,30 @@ bases = st.lists(
 ).map(lambda xs: (0, *sorted(xs)))
 
 # k -> number of admissible bases, pinned against the brute force
-ADMISSIBLE_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 17, 5: 65, 6: 292, 7: 1434, 8: 7875}
+ADMISSIBLE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 17, 5: 65, 6: 292, 7: 1434, 8: 7875}
+
+
+@cache
+def oracle_stream(length):
+    return tuple(all_admissible(length))
+
+
+@st.composite
+def stem_specs(draw):
+    """EnumSpec(L, T, stem) with L <= 7, a random admissible stem of up to
+    L + 1 elements, and T up to just past the largest range n2(L)."""
+    length = draw(st.integers(min_value=1, max_value=7))
+    stem = (0,)
+    for _ in range(draw(st.integers(min_value=0, max_value=length))):
+        top = basis_range(stem) + 1
+        stem += (draw(st.integers(min_value=stem[-1] + 1, max_value=top)),)
+    threshold = draw(st.integers(min_value=0, max_value=known_unrestricted_range(length) + 2))
+    return EnumSpec(length, threshold, stem)
+
+
+def load(path):
+    with open(path) as f:
+        return read_bases(f, str(path))
 
 
 class TestEnumSpec:
@@ -64,79 +78,79 @@ class TestEnumSpec:
 
 
 class TestPartialState:
+    """The DFS node state: element mask and sum coverage, built from scratch
+    by core.sumset_bits at the stem, then updated once per element."""
+
     def test_from_elements(self):
-        state = PartialState.from_elements((0, 1, 3))
-        assert state.elements == (0, 1, 3)
-        assert state.coverage.range == 4
+        mask, bits = sumset_bits((0, 1, 3))
+        assert mask == 0b1011
+        # range = first gap - 1, as the walk computes it
+        assert ((~bits) & (bits + 1)).bit_length() - 2 == 4
 
     @given(bases)
     def test_incremental_matches_scratch(self, basis):
-        state = PartialState.from_elements((0,))
+        # the per-element update inside _iter_admissible
+        mask, bits = sumset_bits((0,))
         for a in basis[1:]:
-            state = state.extend(a)
-        assert state.elements == basis
-        assert state.coverage == sum_coverage(basis)
+            mask = mask | (1 << a)
+            bits = bits | (mask << a)
+        assert (mask, bits) == sumset_bits(basis)
 
     def test_extend_rejects_nonincreasing(self):
-        state = PartialState.from_elements((0, 3))
         with pytest.raises(ValueError):
-            state.extend(2)
+            EnumSpec(5, 0, (0, 1, 3, 2))
 
     def test_covered_count(self):
-        state = PartialState.from_elements((0, 1))
-        assert state.covered_count(6) == 3
+        _, bits = sumset_bits((0, 1))
+        assert (bits & ((1 << 7) - 1)).bit_count() == 3
 
 
 class TestNextCandidates:
+    """A node's candidates, as the walk generates them: stems(len(node),
+    node) extends the node by each admissible next element."""
+
+    @staticmethod
+    def candidates(node):
+        return [s[-1] for s in stems(len(node), node)]
+
     def test_worked_example(self):
-        state = PartialState.from_elements((0, 1, 3, 4))
-        assert list(next_candidates(state)) == [5, 6, 7, 8, 9]
+        assert self.candidates((0, 1, 3, 4)) == [5, 6, 7, 8, 9]
 
     def test_empty_for_inadmissible_partial(self):
-        state = PartialState.from_elements((0, 2))
-        assert list(next_candidates(state)) == []
+        assert self.candidates((0, 2)) == []
 
     @given(bases)
     def test_candidates_keep_admissibility(self, basis):
-        state = PartialState.from_elements(basis)
-        for a in next_candidates(state):
+        for a in self.candidates(basis):
             extended = basis + (a,)
             assert basis_range(extended) >= extended[-1]
 
 
 class TestGapsPrune:
+    """The counting cut on coverage gaps, as _iter_admissible runs it: a
+    node may be dropped only when no completion reaches the range target."""
+
     def test_survivable_node(self):
-        # {0,1,2,3} reaches range 6, so the bound must not cut this node
-        assert gaps_prune(PartialState.from_elements((0, 1)), 2, 6) is False
+        # {0,1,2,3} reaches range 6, so the cut must keep the node (0, 1)
+        assert (0, 1, 2, 3) in list(enumerate_admissible(EnumSpec(3, 6, (0, 1))))
 
     def test_hopeless_node(self):
-        assert gaps_prune(PartialState.from_elements((0, 1, 2)), 1, 12) is True
+        # one more element after (0, 1, 2) cannot cover [0, 12]
+        spec = EnumSpec(3, 12, (0, 1, 2))
+        assert list(enumerate_admissible(spec)) == []
+        assert list(enumerate_admissible(spec, prune=False)) == []
 
-    def test_rejects_negative_arguments(self):
-        state = PartialState.from_elements((0, 1))
-        with pytest.raises(ValueError):
-            gaps_prune(state, -1, 5)
-        with pytest.raises(ValueError):
-            gaps_prune(state, 1, -5)
-
-    @given(
-        st.lists(st.integers(min_value=1, max_value=12), max_size=5, unique=True).map(
-            lambda xs: (0, *sorted(xs))
-        ),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=16),
-    )
-    def test_never_cuts_a_reachable_target(self, basis, remaining, target):
-        # exact soundness at small scale: when the bound prunes, no way of
-        # placing the remaining elements reaches the target.  Elements above
-        # the target contribute no sums within [0, target], so only the
-        # candidates up to the target need checking.
-        state = PartialState.from_elements(basis)
-        if not gaps_prune(state, remaining, target):
-            return
-        candidates = range(basis[-1] + 1, target + 1)
-        for combo in itertools.combinations(candidates, remaining):
-            assert basis_range(basis + combo) < target
+    @settings(max_examples=300)
+    @given(stem_specs())
+    def test_never_cuts_a_reachable_target(self, spec):
+        # soundness and completeness of the production walk below any stem:
+        # exactly the oracle's bases with that stem and range >= T
+        stem = spec.stem
+        expected = [
+            b for b in oracle_stream(spec.length)
+            if b[: len(stem)] == stem and basis_range(b) >= spec.min_range
+        ]
+        assert list(enumerate_admissible(spec)) == expected
 
 
 class TestEnumerate:
@@ -186,9 +200,10 @@ class TestEnumerate:
         assert stems(2) == [(0, 1, 2), (0, 1, 3)]
 
     def test_parallel_equals_serial(self):
-        spec = EnumSpec(7, 16)
+        # the partition is built below the spec's own stem
+        spec = EnumSpec(7, 16, (0, 1, 2))
         serial = list(enumerate_admissible(spec))
-        parallel = list(enumerate_admissible(spec, processes=2, stem_depth=3))
+        parallel = list(enumerate_admissible(spec, processes=2))
         assert parallel == serial
 
     def test_parallel_auto_depth(self):
@@ -197,20 +212,24 @@ class TestEnumerate:
 
 
 class TestCount:
+    """Admissible counts, taken from the production stream itself."""
+
     @pytest.mark.parametrize("k,expected", sorted(ADMISSIBLE_COUNTS.items()))
     def test_pinned_counts(self, k, expected):
-        assert count_admissible(k) == expected
+        assert sum(1 for _ in enumerate_admissible(EnumSpec(k))) == expected
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_count_equals_stream_length(self, k):
-        assert count_admissible(k) == len(list(enumerate_admissible(EnumSpec(k))))
+        # the oracle walks the same tree independently
+        assert sum(1 for _ in enumerate_admissible(EnumSpec(k))) == len(oracle_stream(k))
 
     def test_parallel_count(self):
-        assert count_admissible(8, processes=2, stem_depth=4) == ADMISSIBLE_COUNTS[8]
+        stream = enumerate_admissible(EnumSpec(8), processes=2)
+        assert sum(1 for _ in stream) == ADMISSIBLE_COUNTS[8]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            count_admissible(-1)
+            EnumSpec(-1)
 
 
 class TestSaveLoad:
@@ -220,7 +239,7 @@ class TestSaveLoad:
         path = tmp_path / "stream.txt"
         count = save_enumeration(path, spec, enumerate_admissible(spec))
         assert count == len(expected)
-        meta, bases = load_enumeration(path)
+        meta, bases = load(path)
         assert bases == expected
         assert meta["k"] == "5" and meta["min_range"] == "10"
         assert int(meta["count"]) == len(expected)
@@ -229,17 +248,31 @@ class TestSaveLoad:
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.txt"
         assert save_enumeration(path, EnumSpec(3, 9), iter(())) == 0
-        meta, bases = load_enumeration(path)
-        assert bases == [] and meta["count"].strip() == "0"
+        meta, bases = load(path)
+        assert bases == [] and meta["count"] == "0"
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        save_enumeration(path, EnumSpec(3), [(0, 1, 3, 4)])
+
+        def broken():
+            yield (0, 1, 2, 3)
+            raise RuntimeError("stopped")
+
+        with pytest.raises(RuntimeError):
+            save_enumeration(path, EnumSpec(3), broken())
+        # the complete earlier file survives and no temporary is left over
+        assert load(path)[1] == [(0, 1, 3, 4)]
+        assert [p.name for p in tmp_path.iterdir()] == ["stream.txt"]
 
     def test_count_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# k=3\n# min_range=0\n# count=2\n0 1 3 4\n")
         with pytest.raises(ValueError, match="count"):
-            load_enumeration(path)
+            load(path)
 
     def test_bad_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# k=3\n0 1 3 4\n0 3 1\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_enumeration(path)
+            load(path)

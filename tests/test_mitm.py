@@ -9,7 +9,6 @@ from addbasis.mitm import (
     SearchReport,
     SearchTarget,
     _certainly_empty,
-    assemble,
     find_extremal_restricted,
     search_restricted,
     upper_bound_restricted,
@@ -75,25 +74,38 @@ class TestUpperBound:
 
 
 class TestAssemble:
+    """Gluing one prefix to one mirrored suffix, through search_restricted
+    with explicit one-basis streams: the suffix is un-mirrored about n/2
+    and the glued candidate is kept only if it covers [0, n]."""
+
+    @staticmethod
+    def glue(k, n, prefix, mirrored_suffix):
+        target = SearchTarget.create(k, n, len(prefix) - 1)
+        return search_restricted(target, prefixes=[prefix], suffixes=[mirrored_suffix]).bases
+
     def test_glues(self):
-        assert assemble((0, 1, 3), (0, 1, 3, 4), 16) == (0, 1, 3, 4, 5, 7, 8)
+        assert self.glue(6, 16, (0, 1, 3), (0, 1, 3, 4)) == ((0, 1, 3, 4, 5, 7, 8),)
 
     def test_overlap_returns_none(self):
-        assert assemble((0, 1, 5), (0, 1, 3, 4), 16) is None
+        # un-mirrored, the suffix starts at 4, the prefix's own top element;
+        # the union (0, 1, 3, 4, 5, 7, 8) would cover [0, 16], yet a shared
+        # element is no gluing
+        assert self.glue(7, 16, (0, 1, 3, 4), (0, 1, 3, 4)) == ()
 
     def test_rejects_odd_range(self):
         with pytest.raises(ValueError, match="even"):
-            assemble((0, 1), (0, 1), 5)
+            SearchTarget.create(3, 5)
 
     def test_rejects_suffix_beyond_half(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            assemble((0, 1), (0, 9), 16)
+        # a stream basis reaching n/2 un-mirrors to a set starting at 0
+        assert self.glue(3, 16, (0, 1), (0, 9)) == ()
+        assert self.glue(3, 16, (0, 1), (0, 8)) == ()
 
     def test_reassembles_the_k25_basis(self):
         half = 114
         prefix = K25_BASIS[:13]
         mirrored = tuple(half - x for x in reversed(K25_BASIS[13:]))
-        assert assemble(prefix, mirrored, 228) == K25_BASIS
+        assert self.glue(25, 228, prefix, mirrored) == (K25_BASIS,)
 
 
 class TestSearch:

@@ -3,7 +3,7 @@
 import pytest
 
 from addbasis.core import basis_range
-from addbasis.enumeration import count_admissible
+from addbasis.enumeration import EnumSpec, enumerate_admissible
 from addbasis.oracle import OracleLimitError, all_admissible, brute_force, format_result
 
 
@@ -18,7 +18,7 @@ class TestAllAdmissible:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_agrees_with_the_production_counter(self, k):
         out = list(all_admissible(k))
-        assert len(out) == count_admissible(k)
+        assert out == list(enumerate_admissible(EnumSpec(k)))
         assert out == sorted(out)
         assert all(basis_range(b) >= b[-1] for b in out)
 
