@@ -132,9 +132,12 @@ def _load_fixture_file(name: str) -> dict[int, tuple[Fixture, ...]]:
         parts = stripped.split()
         if len(parts) < 4 or parts[2] not in ("S", "A"):
             raise ValueError(f"{name}: line {lineno}: expected 'k range S|A elements...'")
-        length = int(parts[0])
-        rng = int(parts[1])
-        basis = as_basis(int(t) for t in parts[3:])
+        try:
+            length = int(parts[0])
+            rng = int(parts[1])
+            basis = as_basis(int(t) for t in parts[3:])
+        except ValueError as exc:
+            raise ValueError(f"{name}: line {lineno}: {exc}") from None
         if len(basis) != length + 1:
             raise ValueError(f"{name}: line {lineno}: {len(basis)} elements for k={length}")
         fixture = Fixture(length, rng, parts[2] == "S", basis)
@@ -196,10 +199,14 @@ def load_report(path) -> "SearchReport":
     head = text.lstrip()[:1]
     if head == "{":
         doc = json.loads(text)
-        bases = tuple(as_basis(b) for b in doc["bases"])
+        try:
+            k, n, pivot, raw = (doc[key] for key in ("k", "n", "pivot", "bases"))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing report key {exc}") from None
+        bases = tuple(as_basis(b) for b in raw)
         if "count" in doc and doc["count"] != len(bases):
             raise ValueError(f"{path}: count {doc['count']} but {len(bases)} bases")
-        return SearchReport(k=doc["k"], n=doc["n"], pivot=doc["pivot"], bases=bases)
+        return SearchReport(k=k, n=n, pivot=pivot, bases=bases)
     meta, bases_list = read_bases(text.splitlines(), str(path))
     try:
         k, n, pivot = (int(meta[key]) for key in ("k", "n", "pivot"))

@@ -14,6 +14,17 @@ at most i + 2 new sums, so m further elements add at most
 m*(i+1) + m*(m+1)/2 covered values.  If that cannot close the remaining
 holes in [0, T], no completion reaches range T and the subtree dies.
 
+The final element is picked exactly rather than by trying each candidate.
+Let P end in x, let g be its first gap and h its largest hole in [0, T].
+A final element y lies in [x + 1, g], and once y is added, g and h must
+be sums.  Neither is a sum of two elements of P, so each must be y + a
+with a in P, or 2y.  No sum of P exceeds 2x, so g <= 2x + 1 < 2y.  Hence
+g - y must be an element of P, and h - y must be one unless y = h/2.
+These are two shifts of P's mask; every y that passes them still gets
+the full coverage check, and a P without a hole in [0, T] keeps every y.
+The step drops only final elements that leave g or h uncovered, so it is
+exact.
+
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
 partials of a given depth) and distributed over processes; results are
@@ -76,11 +87,21 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     """DFS core: every admissible extension of `stem` to `length`, with
     range >= min_range, in lexicographic order.
 
-    The node state (element mask and sum coverage) lives on explicit
-    stacks and is updated incrementally per element.  Candidates are
-    [last + 1, first gap]; with prune=True the counting cut of the module
-    docstring drops a node whose coverage of [0, min_range] is too far
-    short.  The soundness property test pins the cut against the oracle."""
+    `_nodes_two_short` walks the tree down to the nodes two elements short
+    of a leaf, and the last two levels are unrolled here.  For each such
+    node the loop runs over the next element x in [last + 1, first gap],
+    applies the counting cut to the node one short, and, with prune=True,
+    keeps only the final elements y that the exact step of the module
+    docstring allows.  `rev` has bit x - a set for each element a, so bit y
+    of `rev << (g - x)` is set exactly when g - y is an element, and bit y
+    of `rev << (h - x)` exactly when h - y is one; the `half` bit adds
+    y = h/2.  prune=False, or a node without a hole in [0, min_range],
+    keeps every y in [x + 1, g], and every kept y gets the full coverage
+    check.  A stem one short is finished as the only child x of its parent.
+
+    The soundness property test pins both cuts against the oracle, and the
+    prune on/off tests pin the exact step.
+    """
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
     # need[n] = sums still missing in [0, min_range] that the counting
@@ -90,22 +111,78 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
         m = kp1 - n
         need.append(min_range + 1 - (m * n + m * (m + 1) // 2))
 
-    elems = list(stem)
+    elems = tuple(stem)
     mask, cov = sumset_bits(elems)
-
     n0 = len(elems)
     if n0 == kp1:
         if cov & tmask == tmask:
-            yield tuple(elems)
+            yield elems
         return
     if prune and need[n0] > 0 and (cov & tmask).bit_count() < need[n0]:
         return
+    if n0 == kp1 - 1:
+        *prefix, x = elems
+        if ((~cov) & (cov + 1)).bit_length() - 1 <= x:
+            return  # an inadmissible stem from `stems` has no extension
+        pmask, pcov = sumset_bits(prefix)
+        rev = sum(1 << (x - 1 - a) for a in prefix)
+        nodes = [(tuple(prefix), pmask, pcov, rev, x, x)]
+    else:
+        nodes = _nodes_two_short(kp1, tmask, need, prune, elems, mask, cov)
+
+    need1 = need[kp1 - 1] if prune else 0
+    for prefix, mask, cov, rev, lo, hi in nodes:
+        # rev holds bit (lo - 1) - a per element a of prefix
+        for x in range(lo, hi + 1):
+            rev <<= 1
+            m1 = mask | (1 << x)
+            c1 = cov | (m1 << x)
+            covered = c1 & tmask
+            if covered.bit_count() < need1:
+                continue
+            # g - x, with g the first gap
+            width = (c1 ^ (c1 + 1)).bit_length() - 1 - x
+            if prune and covered != tmask:
+                r1 = rev | 1
+                h = (tmask ^ covered).bit_length() - 1
+                half = 0 if h & 1 else 1 << (h >> 1)
+                cand = ((r1 << width) & ((r1 << (h - x)) | half)) >> (x + 1)
+            else:
+                cand = (1 << width) - 1
+            # bit i of cand stands for y = x + 1 + i
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                y = x + low.bit_length()
+                if (c1 | ((m1 | (1 << y)) << y)) & tmask == tmask:
+                    yield prefix + (x, y)
+
+
+def _nodes_two_short(
+    kp1: int, tmask: int, need: list[int], prune: bool, elems: Basis, mask: int, cov: int
+) -> Iterator[tuple[Basis, int, int, int, int, int]]:
+    """The DFS above the last two levels: every node with kp1 - 2 elements
+    below the stem `elems` that survives the counting cut, in lexicographic
+    order, as (elements, element mask, coverage, rev, last + 1, first gap)
+    with bit last - a of rev set for each element a.
+
+    The node state lives on explicit stacks and is updated incrementally
+    per element."""
+    bottom = kp1 - 2
+    last = elems[-1]
+    rev = sum(1 << (last - a) for a in elems)
+    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
+    if len(elems) == bottom:
+        yield elems, mask, cov, rev, last + 1, first_gap
+        return
 
     # explicit stacks; level d holds the node with n0 + d elements
+    path = list(elems)
+    n0 = len(path)
     masks = [mask]
     covs = [cov]
-    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
-    iters = [iter(range(elems[-1] + 1, first_gap + 1))]
+    revs = [rev]
+    iters = [iter(range(last + 1, first_gap + 1))]
     depth = 0
     while depth >= 0:
         a = next(iters[depth], None)
@@ -113,23 +190,25 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
             iters.pop()
             masks.pop()
             covs.pop()
+            revs.pop()
             depth -= 1
             if depth >= 0:
-                elems.pop()
+                path.pop()
             continue
         n = n0 + depth + 1
         m2 = masks[depth] | (1 << a)
         c2 = covs[depth] | (m2 << a)
-        if n == kp1:
-            if c2 & tmask == tmask:
-                yield tuple(elems) + (a,)
-            continue
         if prune and need[n] > 0 and (c2 & tmask).bit_count() < need[n]:
             continue
-        elems.append(a)
+        r2 = (revs[depth] << (a - path[-1])) | 1
+        first_gap = ((~c2) & (c2 + 1)).bit_length() - 1
+        if n == bottom:
+            yield tuple(path) + (a,), m2, c2, r2, a + 1, first_gap
+            continue
+        path.append(a)
         masks.append(m2)
         covs.append(c2)
-        first_gap = ((~c2) & (c2 + 1)).bit_length() - 1
+        revs.append(r2)
         iters.append(iter(range(a + 1, first_gap + 1)))
         depth += 1
 

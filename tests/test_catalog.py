@@ -94,6 +94,11 @@ class TestCatalogFile:
         with pytest.raises(ValueError, match="expected"):
             catalog._load_fixture_file("rows.txt")
 
+    def test_non_integer_field_reports_position(self, data_dir):
+        (data_dir / "rows.txt").write_text("3 8 S 0 1 3 4\n5 x S 0 1 3 5 7 8\n")
+        with pytest.raises(ValueError, match="rows.txt: line 2"):
+            catalog._load_fixture_file("rows.txt")
+
 
 EXPECTED_FIXTURE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 1, 9: 1, 10: 8,
@@ -190,6 +195,12 @@ class TestReports:
         path = tmp_path / "bad.txt"
         path.write_text("# k=3\n# count=1\n0 1 3 4\n")
         with pytest.raises(ValueError, match="header"):
+            load_report(path)
+
+    def test_json_missing_key_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"k": 3, "n": 8, "bases": [[0, 1, 3, 4]]}))
+        with pytest.raises(ValueError, match="bad.json.*pivot"):
             load_report(path)
 
     def test_bad_basis_line_reports_position(self, tmp_path):

@@ -167,12 +167,30 @@ class TestEnumerate:
         out = list(enumerate_admissible(EnumSpec(6, 14)))
         assert out == sorted(out)
 
-    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     def test_prune_does_not_change_the_stream(self, k):
-        for threshold in (0, 5, 10, 15, 20):
+        # prune=False tries every final element, so this pins the exact
+        # last-element step as well as the counting cut
+        for threshold in range(known_unrestricted_range(k) + 3):
             with_prune = list(enumerate_admissible(EnumSpec(k, threshold), prune=True))
             without = list(enumerate_admissible(EnumSpec(k, threshold), prune=False))
-            assert with_prune == without
+            assert with_prune == without, threshold
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("short", [1, 2])
+    def test_prune_does_not_change_short_stems(self, k, short):
+        # stems one or two elements short of the k + 1 of a leaf enter the
+        # last two levels directly, as the pool's deepened stems can
+        for stem in stems(k - short):
+            for threshold in range(known_unrestricted_range(k) + 3):
+                spec = EnumSpec(k, threshold, stem)
+                got = list(enumerate_admissible(spec))
+                assert got == list(enumerate_admissible(spec, prune=False)), (stem, threshold)
+
+    @pytest.mark.parametrize("threshold,size", [(54, 4), (53, 5), (52, 35), (51, 56), (50, 213)])
+    def test_descent_stream_sizes(self, threshold, size):
+        # the five streams find_extremal_restricted(23) enumerates, 313 bases
+        assert sum(1 for _ in enumerate_admissible(EnumSpec(11, threshold))) == size
 
     def test_stem_restricts_the_stream(self):
         spec = EnumSpec(6, 10)
