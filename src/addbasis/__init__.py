@@ -6,14 +6,12 @@ from .core import (  # noqa: E402,F401
     Basis,
     BasisClass,
     BasisError,
-    SumCoverage,
     as_basis,
     basis_range,
     classify,
     format_basis,
     mirror,
     parse_basis,
-    sum_coverage,
 )
 from .enumeration import EnumSpec, enumerate_admissible  # noqa: E402,F401
 from .mitm import (  # noqa: E402,F401

@@ -1,4 +1,4 @@
-"""Known extremal values, published extremal bases, and persistence.
+"""Known extremal values, published extremal bases, reports and the stream cache.
 
 Two integer sequences anchor everything here.  n2(k) is the extremal
 range over all admissible bases of length k, known for k <= 24 (OEIS
@@ -11,9 +11,10 @@ restricted bases for k = 1..41 (runs of equally spaced elements expanded
 by tools/transcribe_fixtures.py, which re-verifies every row), plus the
 two length-10 bases that attain the nonrestricted extremum.
 
-Also here: text/JSON persistence of search reports and a disk cache of
+Also here: the text/JSON rendering of search reports, and a disk cache of
 enumerated prefix streams keyed by (length, min_range, tool version).
-Both text forms are read by core.read_bases.
+Reports are rendered, not persisted: the CLI writes the rendered document
+to stdout or --out, and it reads back with core.read_bases (text) or json.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ _RESTRICTED = (
 
 @dataclass(frozen=True)
 class CatalogTable:
-    """Known n2 / n2* values by length, with provenance notes."""
+    """Known n2 / n2* values by length."""
 
     unrestricted: Mapping[int, int]
     restricted: Mapping[int, int]
-    provenance: Mapping[int, str]
 
     def known_unrestricted_range(self, length: int) -> int:
         try:
@@ -73,40 +73,8 @@ class CatalogTable:
         except KeyError:
             raise CatalogMissingError(f"n2*({length}) is not on record") from None
 
-    @property
-    def max_unrestricted(self) -> int:
-        return max(self.unrestricted)
 
-    @property
-    def max_restricted(self) -> int:
-        return max(self.restricted)
-
-
-def _default_table() -> CatalogTable:
-    unrestricted = {k: v for k, v in enumerate(_UNRESTRICTED)}
-    restricted = {k + 1: v for k, v in enumerate(_RESTRICTED)}
-    provenance = {}
-    for k in sorted(set(unrestricted) | set(restricted)):
-        tags = []
-        if k in unrestricted:
-            tags.append("A001212" if k > 0 else "degenerate")
-        if k in restricted:
-            tags.append("A006638")
-        provenance[k] = "/".join(tags)
-    return CatalogTable(unrestricted, restricted, provenance)
-
-
-DEFAULT = _default_table()
-
-
-def known_unrestricted_range(length: int) -> int:
-    """n2(length) from the default catalog (k <= 24)."""
-    return DEFAULT.known_unrestricted_range(length)
-
-
-def known_restricted_range(length: int) -> int:
-    """n2*(length) from the default catalog (k <= 41)."""
-    return DEFAULT.known_restricted_range(length)
+DEFAULT = CatalogTable(dict(enumerate(_UNRESTRICTED)), dict(enumerate(_RESTRICTED, start=1)))
 
 
 # --- published extremal bases ---
@@ -157,7 +125,7 @@ def unrestricted_extremal_fixtures() -> dict[int, tuple[Fixture, ...]]:
     return _load_fixture_file("unrestricted_extremal.txt")
 
 
-# --- search report persistence ---
+# --- search reports ---
 
 
 def render_report(report: "SearchReport", fmt: str = "text") -> str:
@@ -181,38 +149,6 @@ def render_report(report: "SearchReport", fmt: str = "text") -> str:
     ]
     lines.extend(format_basis(b) for b in report.bases)
     return "\n".join(lines) + "\n"
-
-
-def store_report(report: "SearchReport", path, fmt: str = "text") -> None:
-    Path(path).write_text(render_report(report, fmt))
-
-
-def load_report(path) -> "SearchReport":
-    """Read a stored report (text or JSON, sniffed from the content).
-
-    Only the searched instance and its bases are persisted; timing and
-    stream sizes are runtime metadata and come back as None.
-    """
-    from .mitm import SearchReport
-
-    text = Path(path).read_text()
-    head = text.lstrip()[:1]
-    if head == "{":
-        doc = json.loads(text)
-        try:
-            k, n, pivot, raw = (doc[key] for key in ("k", "n", "pivot", "bases"))
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing report key {exc}") from None
-        bases = tuple(as_basis(b) for b in raw)
-        if "count" in doc and doc["count"] != len(bases):
-            raise ValueError(f"{path}: count {doc['count']} but {len(bases)} bases")
-        return SearchReport(k=k, n=n, pivot=pivot, bases=bases)
-    meta, bases_list = read_bases(text.splitlines(), str(path))
-    try:
-        k, n, pivot = (int(meta[key]) for key in ("k", "n", "pivot"))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: missing or bad report header {exc}") from None
-    return SearchReport(k=k, n=n, pivot=pivot, bases=tuple(bases_list))
 
 
 # --- prefix stream cache ---

@@ -27,7 +27,6 @@ from .catalog import (
     CatalogMissingError,
     PrefixCache,
     render_report,
-    store_report,
 )
 from .core import classify, format_basis, read_bases
 from .enumeration import EnumSpec, enumerate_admissible, save_enumeration
@@ -42,12 +41,15 @@ def _log(message: str) -> None:
 
 
 def _threads(text: str) -> int:
-    value = int(text)
     cores = os.cpu_count() or 1
-    if not 1 <= value <= cores:
+    try:
+        value = int(text)
+        if not 1 <= value <= cores:
+            raise ValueError
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a worker count between 1 and {cores} (the number of cores), got {text}"
-        )
+        ) from None
     return value
 
 
@@ -72,10 +74,7 @@ def cmd_search(args) -> int:
         cache=_cache_from(args),
         log=_log,
     )
-    if args.out:
-        store_report(report, args.out, args.format)
-    else:
-        sys.stdout.write(render_report(report, args.format))
+    _emit(render_report(report, args.format), args.out)
     return 0 if report.bases else 1
 
 
@@ -102,7 +101,7 @@ def cmd_extremal(args) -> int:
         return 0
     lines = [f"n2*({report.k}) = {report.n}"]
     if args.out:
-        store_report(report, args.out, args.format)
+        _emit(render_report(report, args.format), args.out)
     else:
         lines.append(render_report(report, args.format).rstrip("\n"))
     if known is not None:
@@ -155,9 +154,6 @@ def cmd_verify(args) -> int:
         else:
             with open(args.path) as f:
                 _, bases = read_bases(f, args.path)
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return 2
     except ValueError as exc:
         _log(f"error: {exc}")
         return 1
@@ -264,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CatalogMissingError) as exc:
+    except (ValueError, CatalogMissingError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

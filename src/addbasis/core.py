@@ -50,27 +50,6 @@ def as_basis(elements: Iterable[int]) -> Basis:
     return elems
 
 
-@dataclass(frozen=True, slots=True)
-class SumCoverage:
-    """Bit vector of pairwise sums of a basis.
-
-    ``bits`` has bit t set iff t = a_i + a_j for some (not necessarily
-    distinct) elements; ``max_index`` is 2*a_k, the largest possible sum.
-    """
-
-    bits: int
-    max_index: int
-
-    def __contains__(self, t: int) -> bool:
-        return 0 <= t <= self.max_index and (self.bits >> t) & 1 == 1
-
-    @property
-    def range(self) -> int:
-        """Largest n with [0, n] fully covered (-1 if 0 itself is missing)."""
-        # lowest zero bit of `bits`, minus one
-        return ((~self.bits) & (self.bits + 1)).bit_length() - 2
-
-
 def sumset_bits(elements: Iterable[int]) -> tuple[int, int]:
     """(mask, bits) of an increasing set A, computed from scratch: mask
     has bit a set for every a in A, bits has bit t set iff t is in A + A.
@@ -88,14 +67,12 @@ def sumset_bits(elements: Iterable[int]) -> tuple[int, int]:
     return mask, bits
 
 
-def sum_coverage(basis: Sequence[int]) -> SumCoverage:
-    """Coverage of basis + basis, computed from scratch."""
-    return SumCoverage(sumset_bits(basis)[1], 2 * basis[-1])
-
-
 def basis_range(basis: Sequence[int]) -> int:
-    """n2(A): the largest n such that basis + basis covers [0, n]."""
-    return sum_coverage(basis).range
+    """n2(A): the largest n such that basis + basis covers [0, n]
+    (-1 if 0 itself is missing)."""
+    bits = sumset_bits(basis)[1]
+    # lowest zero bit of `bits`, minus one
+    return ((~bits) & (bits + 1)).bit_length() - 2
 
 
 def mirror(elements: Iterable[int], b: int) -> tuple[int, ...]:

@@ -186,7 +186,6 @@ def search_restricted(
     *,
     prefixes: Sequence[Basis] | None = None,
     suffixes: Sequence[Basis] | None = None,
-    prune: bool = True,
     processes: int = 1,
     cache: PrefixCache | None = None,
     log: Log | None = None,
@@ -210,7 +209,7 @@ def search_restricted(
                     log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
                 return hit
         spec = EnumSpec(length, min_range)
-        bases = list(enumerate_admissible(spec, prune=prune, processes=processes))
+        bases = list(enumerate_admissible(spec, processes=processes))
         if cache is not None:
             cache.store(length, min_range, bases)
         return bases
@@ -275,7 +274,6 @@ def find_extremal_restricted(
     pivot: int | None = None,
     *,
     table: CatalogTable = DEFAULT,
-    prune: bool = True,
     processes: int = 1,
     cache: PrefixCache | None = None,
     log: Log | None = None,
@@ -289,25 +287,18 @@ def find_extremal_restricted(
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
     bound = upper_bound_restricted(k, table)
-    n = bound - (bound % 2)
-    while n >= 2:
+    for n in range(bound - bound % 2, 1, -2):
         target = SearchTarget.create(k, n, pivot, table)
         if _certainly_empty(target, table):
             if log:
                 log(f"k={k} n={n}: infeasible stream constraints, skipped")
-            report = SearchReport(
-                k=k, n=n, pivot=target.pivot, bases=(),
-                prefix_count=0, suffix_count=0, elapsed=0.0,
-            )
-        else:
-            report = search_restricted(
-                target,
-                prune=prune,
-                processes=processes,
-                cache=cache,
-                log=log,
-            )
+            continue
+        report = search_restricted(
+            target,
+            processes=processes,
+            cache=cache,
+            log=log,
+        )
         if report.bases:
             return report
-        n -= 2
     raise RuntimeError(f"no restricted basis of length {k} found above range 2")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Basis, basis_range
+from .core import Basis, basis_range, format_basis
 
 
 DEFAULT_LIMIT = 10
@@ -99,8 +99,8 @@ def format_result(result: OracleResult) -> str:
     lines = [f"# k={result.length}"]
     lines.append(f"# n2={result.n2}")
     lines.append(f"# extremal_count={len(result.extremal)}")
-    lines.extend(" ".join(str(a) for a in b) for b in result.extremal)
+    lines.extend(format_basis(b) for b in result.extremal)
     lines.append(f"# n2_restricted={result.n2_restricted}")
     lines.append(f"# extremal_restricted_count={len(result.extremal_restricted)}")
-    lines.extend(" ".join(str(a) for a in b) for b in result.extremal_restricted)
+    lines.extend(format_basis(b) for b in result.extremal_restricted)
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ import pytest
 
 from addbasis.catalog import DEFAULT, PrefixCache
 from addbasis.cli import main
-from addbasis.core import basis_range, classify, mirror, sum_coverage
+from addbasis.core import basis_range, classify, mirror, sumset_bits
 from addbasis.enumeration import EnumSpec, enumerate_admissible
 from addbasis.mitm import SearchTarget, find_extremal_restricted, search_restricted, upper_bound_restricted
 from addbasis.oracle import all_admissible
@@ -146,8 +146,8 @@ def test_criterion_6_property_suites(restricted_fixtures, unrestricted_fixtures)
         image = mirror(elems, b)
         assert mirror(image, b) == elems
         width = 2 * b + 1
-        cov = sum_coverage(elems).bits
-        assert int(f"{cov:0{width}b}"[::-1], 2) == sum_coverage(image).bits
+        cov = sumset_bits(elems)[1]
+        assert int(f"{cov:0{width}b}"[::-1], 2) == sumset_bits(image)[1]
 
     # the published bases classify exactly as published, and the mirror of
     # a restricted basis is again restricted with the same range

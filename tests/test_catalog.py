@@ -1,4 +1,4 @@
-"""Tests for the value catalog, fixtures, and persistence."""
+"""Tests for the value catalog, fixtures, report rendering and the stream cache."""
 
 import json
 from types import SimpleNamespace
@@ -11,49 +11,45 @@ from addbasis.catalog import (
     CatalogMissingError,
     CatalogTable,
     PrefixCache,
-    known_restricted_range,
-    known_unrestricted_range,
-    load_report,
     render_report,
-    store_report,
 )
-from addbasis.core import classify, format_basis
+from addbasis.core import classify, format_basis, read_bases
 from addbasis.mitm import SearchReport, SearchTarget, _certainly_empty, search_restricted
 
 
 class TestKnownValues:
     def test_spot_values(self):
-        assert known_unrestricted_range(0) == 0
-        assert known_unrestricted_range(1) == 2
-        assert known_unrestricted_range(10) == 46
-        assert known_unrestricted_range(12) == 64
-        assert known_unrestricted_range(24) == 212
-        assert known_restricted_range(10) == 44
-        assert known_restricted_range(25) == 228
-        assert known_restricted_range(41) == 562
+        assert DEFAULT.known_unrestricted_range(0) == 0
+        assert DEFAULT.known_unrestricted_range(1) == 2
+        assert DEFAULT.known_unrestricted_range(10) == 46
+        assert DEFAULT.known_unrestricted_range(12) == 64
+        assert DEFAULT.known_unrestricted_range(24) == 212
+        assert DEFAULT.known_restricted_range(10) == 44
+        assert DEFAULT.known_restricted_range(25) == 228
+        assert DEFAULT.known_restricted_range(41) == 562
 
     def test_coverage_limits(self):
-        assert DEFAULT.max_unrestricted == 24
-        assert DEFAULT.max_restricted == 41
+        assert max(DEFAULT.unrestricted) == 24
+        assert max(DEFAULT.restricted) == 41
         with pytest.raises(CatalogMissingError):
-            known_unrestricted_range(25)
+            DEFAULT.known_unrestricted_range(25)
         with pytest.raises(CatalogMissingError):
-            known_restricted_range(42)
+            DEFAULT.known_restricted_range(42)
         with pytest.raises(CatalogMissingError):
-            known_restricted_range(0)
+            DEFAULT.known_restricted_range(0)
 
     def test_restricted_equals_unrestricted_except_k10(self):
         for k in range(1, 25):
             if k == 10:
-                assert known_restricted_range(k) == 44 < known_unrestricted_range(k)
+                assert DEFAULT.known_restricted_range(k) == 44 < DEFAULT.known_unrestricted_range(k)
             else:
-                assert known_restricted_range(k) == known_unrestricted_range(k)
+                assert DEFAULT.known_restricted_range(k) == DEFAULT.known_unrestricted_range(k)
 
     def test_values_strictly_increase(self):
         for k in range(1, 24):
-            assert known_unrestricted_range(k) < known_unrestricted_range(k + 1)
+            assert DEFAULT.known_unrestricted_range(k) < DEFAULT.known_unrestricted_range(k + 1)
         for k in range(1, 41):
-            assert known_restricted_range(k) < known_restricted_range(k + 1)
+            assert DEFAULT.known_restricted_range(k) < DEFAULT.known_restricted_range(k + 1)
 
 
 class TestCatalogFile:
@@ -76,7 +72,7 @@ class TestCatalogFile:
         assert loaded == {3: restricted_fixtures[3], 10: restricted_fixtures[10]}
 
     def test_unknown_fields_parse_as_missing(self):
-        table = CatalogTable(unrestricted={}, restricted={25: 228}, provenance={25: "tables"})
+        table = CatalogTable(unrestricted={}, restricted={25: 228})
         with pytest.raises(CatalogMissingError):
             table.known_unrestricted_range(25)
         assert table.known_restricted_range(25) == 228
@@ -120,7 +116,7 @@ class TestFixtures:
                 cls = classify(fixture.basis)
                 assert cls.restricted, fixture
                 assert cls.range == fixture.range == 2 * fixture.basis[-1]
-                assert cls.range == known_restricted_range(k)
+                assert cls.range == DEFAULT.known_restricted_range(k)
                 assert cls.symmetric == fixture.symmetric, fixture
 
     def test_unrestricted_fixtures_reverify(self, unrestricted_fixtures):
@@ -129,7 +125,7 @@ class TestFixtures:
         assert len(rows) == 2
         for fixture in rows:
             cls = classify(fixture.basis)
-            assert cls.range == 46 == fixture.range == known_unrestricted_range(10)
+            assert cls.range == 46 == fixture.range == DEFAULT.known_unrestricted_range(10)
             assert cls.admissible and not cls.restricted and not cls.symmetric
 
 
@@ -159,55 +155,26 @@ class TestReports:
         with pytest.raises(ValueError, match="format"):
             render_report(_sample_report(), "yaml")
 
-    def test_text_roundtrip(self, tmp_path):
+    def test_text_roundtrip(self):
+        # the text form reads back through the one header + bases reader
         report = _sample_report()
-        path = tmp_path / "report.txt"
-        store_report(report, path)
-        loaded = load_report(path)
-        assert loaded == report  # metadata is excluded from comparison
-        assert loaded.k == 3 and loaded.n == 8 and loaded.pivot == 1
-        assert loaded.bases == report.bases
-        assert loaded.elapsed is None and loaded.prefix_count is None
+        meta, bases = read_bases(render_report(report).splitlines(), "report.txt")
+        assert meta == {"k": "3", "n": "8", "pivot": "1", "count": "1"}
+        assert tuple(bases) == report.bases
 
-    def test_json_roundtrip(self, tmp_path):
-        report = _sample_report()
-        path = tmp_path / "report.json"
-        store_report(report, path, "json")
-        doc = json.loads(path.read_text())
-        assert doc["count"] == 1 and doc["bases"] == [[0, 1, 3, 4]]
-        assert load_report(path) == report
+    def test_json_roundtrip(self):
+        doc = json.loads(render_report(_sample_report(), "json"))
+        assert doc == {"k": 3, "n": 8, "pivot": 1, "count": 1, "bases": [[0, 1, 3, 4]]}
 
-    def test_json_with_extra_keys_loads(self, tmp_path):
-        path = tmp_path / "extremal.json"
-        path.write_text(json.dumps({
-            "k": 3, "n": 8, "pivot": 1, "count": 1,
-            "bases": [[0, 1, 3, 4]], "catalog_n2_star": 8, "match": True,
-        }))
-        assert load_report(path).bases == ((0, 1, 3, 4),)
+    def test_count_mismatch_detected(self):
+        text = "# k=3\n# n=8\n# pivot=1\n# count=2\n0 1 3 4\n"
+        with pytest.raises(ValueError, match="bad.txt: header count 2 but 1"):
+            read_bases(text.splitlines(), "bad.txt")
 
-    def test_count_mismatch_detected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# k=3\n# n=8\n# pivot=1\n# count=2\n0 1 3 4\n")
-        with pytest.raises(ValueError, match="count"):
-            load_report(path)
-
-    def test_missing_header_detected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# k=3\n# count=1\n0 1 3 4\n")
-        with pytest.raises(ValueError, match="header"):
-            load_report(path)
-
-    def test_json_missing_key_names_the_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"k": 3, "n": 8, "bases": [[0, 1, 3, 4]]}))
-        with pytest.raises(ValueError, match="bad.json.*pivot"):
-            load_report(path)
-
-    def test_bad_basis_line_reports_position(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# k=3\n# n=8\n# pivot=1\n# count=1\n0 3 1\n")
-        with pytest.raises(ValueError, match="line 5"):
-            load_report(path)
+    def test_bad_basis_line_reports_position(self):
+        text = "# k=3\n# n=8\n# pivot=1\n# count=1\n0 3 1\n"
+        with pytest.raises(ValueError, match="bad.txt: line 5"):
+            read_bases(text.splitlines(), "bad.txt")
 
 
 class TestPrefixCache:

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from addbasis import __version__
-from addbasis.catalog import PrefixCache, load_report
+from addbasis.catalog import PrefixCache
 from addbasis.cli import main
 from addbasis.core import parse_basis, read_bases
 from addbasis.enumeration import EnumSpec, enumerate_admissible
@@ -16,6 +16,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def blocked_dir(tmp_path):
+    """A directory path that cannot exist: its parent is a regular file."""
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "dir"
 
 
 def stdout_bases(out):
@@ -54,12 +61,34 @@ class TestSearch:
         assert exc.value.code == 2
 
     def test_out_file(self, capsys, tmp_path):
+        # --out writes exactly the bytes stdout would show
         out_path = tmp_path / "report.txt"
+        _, shown, _ = run(capsys, "search", "-k", "9", "-n", "40")
         code, out, _ = run(capsys, "search", "-k", "9", "-n", "40", "--out", str(out_path))
         assert code == 0
         assert out == ""
-        report = load_report(out_path)
-        assert report.k == 9 and report.n == 40 and report.count >= 1
+        assert out_path.read_text() == shown
+        assert "# k=9\n# n=40\n" in shown
+
+    def test_json_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        argv = ("search", "-k", "9", "-n", "40", "--format", "json")
+        _, shown, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert out_path.read_text() == shown
+        assert json.loads(shown)["count"] >= 1
+
+    def test_unwritable_out_is_usage_error(self, capsys, blocked_dir):
+        out_path = blocked_dir / "r.txt"
+        code, out, err = run(capsys, "search", "-k", "5", "-n", "16", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error: ") and str(out_path) in err
+
+    def test_cache_dir_under_a_file_is_usage_error(self, capsys, blocked_dir):
+        code, out, err = run(capsys, "search", "-k", "5", "-n", "16", "--cache-dir", str(blocked_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(blocked_dir) in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "search", "-k", "9", "-n", "40", "--format", "json")
@@ -99,6 +128,14 @@ class TestSearch:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_threads_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "-k", "5", "-n", "16", "--threads", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a worker count between 1 and" in err and "got x" in err
+        assert "_threads" not in err
+
 
 class TestExtremal:
     def test_reports_value_and_match(self, capsys, restricted_fixtures):
@@ -127,12 +164,24 @@ class TestExtremal:
         assert len(doc["bases"]) == doc["count"] == 2
 
     def test_out_file_holds_report(self, capsys, tmp_path):
+        # the file holds the report block that stdout shows between the
+        # n2* line and the MATCH line; the summary stays on stdout
         out_path = tmp_path / "extremal.txt"
+        _, shown, _ = run(capsys, "extremal", "-k", "6")
         code, out, _ = run(capsys, "extremal", "-k", "6", "--out", str(out_path))
         assert code == 0
-        assert "n2*(6) = 20" in out  # summary still on stdout
-        report = load_report(out_path)
-        assert report.n == 20 and report.count == 2
+        first, *block, last = shown.splitlines(keepends=True)
+        assert first == "n2*(6) = 20\n" and last.startswith("MATCH")
+        assert out_path.read_text() == "".join(block)
+        assert out == first + last
+        assert "# count=2\n" in block
+
+    def test_json_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "extremal.json"
+        _, shown, _ = run(capsys, "extremal", "-k", "6", "--format", "json")
+        code, out, _ = run(capsys, "extremal", "-k", "6", "--format", "json", "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert out_path.read_text() == shown
 
 
 class TestEnumerate:
@@ -163,6 +212,11 @@ class TestEnumerate:
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == 5 and len(doc["bases"]) == 5
+
+    def test_unwritable_out_is_usage_error(self, capsys, blocked_dir):
+        code, _, err = run(capsys, "enumerate", "-k", "3", "--out", str(blocked_dir / "x.txt"))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_usage_error_on_bad_length(self, capsys):
         code, _, err = run(capsys, "enumerate", "-k", "0")

@@ -16,7 +16,6 @@ from addbasis.core import (
     mirror,
     parse_basis,
     read_bases,
-    sum_coverage,
     sumset_bits,
 )
 from addbasis.enumeration import EnumSpec, save_enumeration
@@ -58,23 +57,24 @@ class TestAsBasis:
 
 
 class TestSumCoverage:
+    """The sum coverage bit vector of sumset_bits, and the range that
+    basis_range reads off it as the first gap."""
+
     def test_worked_example(self):
-        cov = sum_coverage((0, 1, 3, 4))
-        assert sorted(t for t in range(9) if t in cov) == list(range(9))
-        assert cov.max_index == 8
-        assert cov.range == 8
+        _, bits = sumset_bits((0, 1, 3, 4))
+        assert bits == (1 << 9) - 1  # every sum 0..8, and 8 = 2 * a_k is the top bit
+        assert basis_range((0, 1, 3, 4)) == 8
 
     def test_gap(self):
-        cov = sum_coverage((0, 1, 5))
+        _, bits = sumset_bits((0, 1, 5))
         # missing 3 and 4: sums are 0,1,2,5,6,10
-        assert cov.range == 2
-        assert 3 not in cov
-        assert 5 in cov
+        assert basis_range((0, 1, 5)) == 2
+        assert not (bits >> 3) & 1
+        assert (bits >> 5) & 1
 
     def test_degenerate(self):
-        cov = sum_coverage((0,))
-        assert cov.bits == 1
-        assert cov.range == 0
+        assert sumset_bits((0,)) == (1, 1)
+        assert basis_range((0,)) == 0
 
     def test_covered_count(self):
         # the DFS prune counts the covered sums in [0, T] as a popcount
@@ -92,17 +92,18 @@ class TestSumCoverage:
 
     @given(bases)
     def test_membership_matches_definition(self, basis):
-        cov = sum_coverage(basis)
+        _, bits = sumset_bits(basis)
         elems = set(basis)
         sums = {a + b for a in elems for b in elems}
-        assert {t for t in range(cov.max_index + 1) if t in cov} == sums
+        assert {t for t in range(2 * basis[-1] + 1) if (bits >> t) & 1} == sums
+        assert bits.bit_length() == 2 * basis[-1] + 1
 
     @given(bases)
     def test_range_is_first_gap(self, basis):
-        cov = sum_coverage(basis)
-        rng = cov.range
-        assert all(t in cov for t in range(rng + 1))
-        assert (rng + 1) not in cov
+        _, bits = sumset_bits(basis)
+        rng = basis_range(basis)
+        assert all((bits >> t) & 1 for t in range(rng + 1))
+        assert not (bits >> (rng + 1)) & 1
 
 
 class TestRangeAndCovers:
@@ -154,8 +155,8 @@ class TestMirror:
     def test_coverage_reflects(self, elems, extra):
         b = max(elems) + extra
         image = mirror(elems, b)
-        cov = sum_coverage(elems).bits
-        cov_image = sum_coverage(image).bits
+        cov = sumset_bits(elems)[1]
+        cov_image = sumset_bits(image)[1]
         width = 2 * b + 1
         assert int(f"{cov:0{width}b}"[::-1], 2) == cov_image
 

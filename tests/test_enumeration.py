@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addbasis.catalog import known_unrestricted_range
+from addbasis.catalog import DEFAULT
 from addbasis.core import basis_range, read_bases, sumset_bits
 from addbasis.enumeration import EnumSpec, enumerate_admissible, save_enumeration, stems
 from addbasis.oracle import all_admissible
@@ -33,7 +33,8 @@ def stem_specs(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=length))):
         top = basis_range(stem) + 1
         stem += (draw(st.integers(min_value=stem[-1] + 1, max_value=top)),)
-    threshold = draw(st.integers(min_value=0, max_value=known_unrestricted_range(length) + 2))
+    top_range = DEFAULT.known_unrestricted_range(length)
+    threshold = draw(st.integers(min_value=0, max_value=top_range + 2))
     return EnumSpec(length, threshold, stem)
 
 
@@ -171,7 +172,7 @@ class TestEnumerate:
     def test_prune_does_not_change_the_stream(self, k):
         # prune=False tries every final element, so this pins the exact
         # last-element step as well as the counting cut
-        for threshold in range(known_unrestricted_range(k) + 3):
+        for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
             with_prune = list(enumerate_admissible(EnumSpec(k, threshold), prune=True))
             without = list(enumerate_admissible(EnumSpec(k, threshold), prune=False))
             assert with_prune == without, threshold
@@ -182,7 +183,7 @@ class TestEnumerate:
         # stems one or two elements short of the k + 1 of a leaf enter the
         # last two levels directly, as the pool's deepened stems can
         for stem in stems(k - short):
-            for threshold in range(known_unrestricted_range(k) + 3):
+            for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
                 spec = EnumSpec(k, threshold, stem)
                 got = list(enumerate_admissible(spec))
                 assert got == list(enumerate_admissible(spec, prune=False)), (stem, threshold)

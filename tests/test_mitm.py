@@ -168,8 +168,18 @@ class TestSearch:
         assert parallel == serial
 
     def test_prune_off_equals_on(self):
+        # the search depends only on its streams: unpruned streams fed in
+        # give the same report as the pruned ones it enumerates itself
         target = SearchTarget.create(9, 40)
-        assert search_restricted(target, prune=False) == search_restricted(target)
+        prefixes = list(
+            enumerate_admissible(EnumSpec(target.pivot, target.prefix_min_range), prune=False)
+        )
+        suffixes = list(
+            enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range), prune=False)
+        )
+        unpruned = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+        assert unpruned == search_restricted(target)
+        assert unpruned.bases
 
     def test_cache_round(self, tmp_path):
         target = SearchTarget.create(9, 40)
