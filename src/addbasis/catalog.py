@@ -15,6 +15,8 @@ Also here: the text/JSON rendering of search reports, and a disk cache of
 enumerated prefix streams keyed by (length, min_range, tool version).
 Reports are rendered, not persisted: the CLI writes the rendered document
 to stdout or --out, and it reads back with core.read_bases (text) or json.
+The cache reads and writes its entries through core (read_bases,
+write_bases, atomic_write).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import Basis, as_basis, format_basis, read_bases
-from .enumeration import EnumSpec, save_enumeration
+from .core import Basis, as_basis, atomic_write, format_basis, read_bases, write_bases
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mitm import SearchReport
@@ -158,9 +159,10 @@ class PrefixCache:
     """Disk cache of enumerated streams, keyed by (length, min_range, version).
 
     A hit returns exactly the list a fresh enumeration would produce; the
-    stored header carries the enumeration key and the count guards against
-    truncation.  Entries are written atomically, so an interrupted store
-    leaves no entry and the next load misses.  Stale versions simply miss.
+    stored header carries the enumeration key and the count line, last (or,
+    in older entries, in the header), guards against truncation.  Entries
+    are written atomically, so an interrupted store leaves no entry and the
+    next load misses.  Stale versions simply miss.
     """
 
     def __init__(self, directory) -> None:
@@ -176,11 +178,14 @@ class PrefixCache:
             return None
         with open(path) as f:
             meta, bases = read_bases(f, str(path))
+        if "count" not in meta:
+            raise ValueError(f"{path}: no count line, so the entry is incomplete")
         if meta.get("k") != str(length) or meta.get("min_range") != str(min_range):
             raise ValueError(f"{path}: header does not match its cache key")
         return bases
 
     def store(self, length: int, min_range: int, bases: Iterable[Sequence[int]]) -> Path:
         path = self.path_for(length, min_range)
-        save_enumeration(path, EnumSpec(length, min_range), bases)
+        with atomic_write(path) as f:
+            write_bases(f, {"k": length, "min_range": min_range, "version": __version__}, bases)
         return path

@@ -9,8 +9,9 @@ Subcommands:
     oracle     brute-force reference for small k
 
 Results go to stdout (or --out); progress and timing go to stderr, so
-result output is byte-identical across runs and thread counts.  Exit
-codes: 0 success, 1 no result (or failed verification), 2 usage error.
+result output is byte-identical across runs and thread counts; --out is
+opened before any work and written atomically.  Exit codes: 0 success, 1
+no result, failed verification or closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from contextlib import nullcontext
+from typing import IO, Sequence
 
 from . import __version__
 from .catalog import (
@@ -28,12 +30,16 @@ from .catalog import (
     PrefixCache,
     render_report,
 )
-from .core import classify, format_basis, read_bases
-from .enumeration import EnumSpec, enumerate_admissible, save_enumeration
+from .core import atomic_write, classify, format_basis, read_bases, write_bases
+from .enumeration import EnumSpec, enumerate_admissible
 from .mitm import SearchTarget, find_extremal_restricted, search_restricted
 from .oracle import DEFAULT_LIMIT, brute_force, format_result
 
 CACHE_ENV = "ADDBASIS_CACHE_DIR"
+
+
+class _Failed(Exception):
+    """A check on the input failed: exit 1, and --out is not written."""
 
 
 def _log(message: str) -> None:
@@ -58,15 +64,7 @@ def _cache_from(args) -> PrefixCache | None:
     return PrefixCache(directory) if directory else None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_search(args) -> int:
+def cmd_search(args, out: IO[str]) -> int:
     target = SearchTarget.create(args.k, args.n, args.pivot)
     report = search_restricted(
         target,
@@ -74,11 +72,11 @@ def cmd_search(args) -> int:
         cache=_cache_from(args),
         log=_log,
     )
-    _emit(render_report(report, args.format), args.out)
+    out.write(render_report(report, args.format))
     return 0 if report.bases else 1
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args, out: IO[str]) -> int:
     report = find_extremal_restricted(
         args.k,
         args.pivot,
@@ -97,44 +95,27 @@ def cmd_extremal(args) -> int:
             "catalog_n2_star": known,
             "match": None if known is None else known == report.n,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    lines = [f"n2*({report.k}) = {report.n}"]
-    if args.out:
-        _emit(render_report(report, args.format), args.out)
-    else:
-        lines.append(render_report(report, args.format).rstrip("\n"))
+    # the summary lines stay on stdout; the report goes to --out when given
+    sys.stdout.write(f"n2*({report.k}) = {report.n}\n")
+    out.write(render_report(report, args.format))
     if known is not None:
         verdict = "MATCH" if known == report.n else "MISMATCH"
-        lines.append(f"{verdict}: catalog n2*({report.k}) = {known}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(f"{verdict}: catalog n2*({report.k}) = {known}\n")
     return 0
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, out: IO[str]) -> int:
     spec = EnumSpec(args.k, args.min_range)
     bases = enumerate_admissible(spec, processes=args.threads)
+    header = {"k": spec.length, "min_range": spec.min_range, "version": __version__}
     if args.format == "json":
         collected = [list(b) for b in bases]
-        doc = {
-            "k": spec.length,
-            "min_range": spec.min_range,
-            "version": __version__,
-            "count": len(collected),
-            "bases": collected,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        doc = {**header, "count": len(collected), "bases": collected}
+        out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    if args.out:
-        count = save_enumeration(args.out, spec, _heartbeat(bases))
-        _log(f"wrote {count} bases to {args.out}")
-        return 0
-    sys.stdout.write(f"# k={spec.length}\n# min_range={spec.min_range}\n# version={__version__}\n")
-    count = 0
-    for basis in _heartbeat(bases):
-        sys.stdout.write(format_basis(basis) + "\n")
-        count += 1
-    sys.stdout.write(f"# count={count}\n")
+    write_bases(out, header, _heartbeat(bases))
     return 0
 
 
@@ -147,7 +128,7 @@ def _heartbeat(bases, every: int = 1_000_000):
         yield basis
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: IO[str]) -> int:
     try:
         if args.path == "-":
             _, bases = read_bases(sys.stdin, args.path)
@@ -155,8 +136,7 @@ def cmd_verify(args) -> int:
             with open(args.path) as f:
                 _, bases = read_bases(f, args.path)
     except ValueError as exc:
-        _log(f"error: {exc}")
-        return 1
+        raise _Failed(exc) from None
     records = [(basis, classify(basis)) for basis in bases]
     if args.format == "json":
         doc = {
@@ -171,7 +151,7 @@ def cmd_verify(args) -> int:
                 for b, cls in records
             ]
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        out.write(json.dumps(doc, indent=2) + "\n")
         return 0
     lines_out = []
     for basis, cls in records:
@@ -182,11 +162,11 @@ def cmd_verify(args) -> int:
             "symmetric" if cls.symmetric else "asymmetric",
         ]
         lines_out.append(f"{format_basis(basis)}: " + ", ".join(parts))
-    _emit("\n".join(lines_out) + "\n" if lines_out else "", args.out)
+    out.write("\n".join(lines_out) + "\n" if lines_out else "")
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, out: IO[str]) -> int:
     result = brute_force(args.k, limit=args.oracle_limit)
     if args.format == "json":
         doc = {
@@ -196,9 +176,9 @@ def cmd_oracle(args) -> int:
             "n2_restricted": result.n2_restricted,
             "extremal_restricted": [list(b) for b in result.extremal_restricted],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    _emit(format_result(result), args.out)
+    out.write(format_result(result))
     return 0
 
 
@@ -259,7 +239,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an unwritable --out fails here, before any work
+        with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+            code = args.func(args, out)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; devnull keeps the flush at exit from raising
+        # again (the SIGPIPE note in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except _Failed as exc:
+        _log(f"error: {exc}")
+        return 1
     except (ValueError, CatalogMissingError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

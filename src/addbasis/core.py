@@ -12,12 +12,18 @@ because the mandatory leading 0 is not counted.  Sum coverage is kept as a
 Python int used as a bit vector (bit t set iff t is a pairwise sum), so
 the first-gap scan and subset tests are word-parallel no matter how large
 the basis gets.
+
+Lists of bases are stored in one text format, read by read_bases and
+written by write_bases; files are written through atomic_write.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 Basis = tuple[int, ...]
 
@@ -136,14 +142,58 @@ def parse_basis(text: str, lineno: int | None = None) -> Basis:
         raise BasisError(where + str(exc)) from None
 
 
+def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequence[int]]) -> int:
+    """Write a stream: one `# key=value` line per header item, one basis
+    per line, then `# count=N` last, since N is known only at the end.
+    Returns N."""
+    write = f.write
+    for key, value in header.items():
+        write(f"# {key}={value}\n")
+    count = 0
+    for basis in bases:
+        write(format_basis(basis))
+        write("\n")
+        count += 1
+    write(f"# count={count}\n")
+    return count
+
+
+@contextmanager
+def atomic_write(path) -> Iterator[IO[str]]:
+    """Open a text file that appears at `path` only if the block completes.
+
+    On entry `.<name>.<pid>.tmp` is created in the target's directory (a
+    symlink's target), so an unwritable target fails before any work, with
+    an OSError naming `path`.  On normal exit the file is renamed over the
+    target; on any exception it is removed and the target is left as it
+    was.  No fsync.
+    """
+    target = Path(path).resolve()
+    if target.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "w")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, str], list[Basis]]:
     """Read the text format of streams, reports and cache entries.
 
-    Lines of the form `# key=value` fill the header dict; other `#` lines
-    and blank lines are skipped; every other line is one basis.  When the
-    header carries `count`, it must be an integer equal to the number of
-    bases.  Errors are ValueErrors that name the source and, for a basis
-    line, its line number.
+    Lines of the form `# key=value` fill the header dict, wherever they
+    appear (streams put `count` last, reports in the header); other `#`
+    lines and blank lines are skipped; every other line is one basis.
+    When the text carries `count`, it must be an integer equal to the
+    number of bases.  Errors are ValueErrors that name the source and, for
+    a basis line, its line number.
     """
     meta: dict[str, str] = {}
     bases: list[Basis] = []

@@ -34,13 +34,10 @@ merged back in lexicographic order.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from . import __version__
-from .core import Basis, as_basis, basis_range, format_basis, sumset_bits
+from .core import Basis, as_basis, basis_range, sumset_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,8 +227,8 @@ def enumerate_admissible(spec: EnumSpec, *, prune: bool = True, processes: int =
     """Yield every admissible basis of spec.length with range >= spec.min_range,
     in lexicographic order.
 
-    prune=False disables the counting cut (same stream, more work); with
-    processes > 1 the stem partitions run in a process pool and results
+    prune=False disables both the counting cut and the exact last-element
+    step (same stream, more work); with processes > 1 the stem partitions run in a process pool and results
     merge back in order.
     """
     stem = spec.stem
@@ -249,42 +246,3 @@ def enumerate_admissible(spec: EnumSpec, *, prune: bool = True, processes: int =
     with multiprocessing.Pool(processes) as pool:
         for chunk in pool.imap(_collect, jobs, chunksize=1):
             yield from chunk
-
-
-_COUNT_PAD = 12
-
-
-def save_enumeration(path, spec: EnumSpec, bases: Iterable[Sequence[int]]) -> int:
-    """Stream bases to a file under a header recording what was enumerated.
-
-    The count is known only at the end, so a fixed-width placeholder in the
-    header is backpatched once the stream is exhausted.  The file is
-    written under a temporary name in the same directory and renamed over
-    `path` only when complete, so an interrupted write (the stream raising,
-    or the process being stopped) never leaves a partial file at `path`.
-    Returns the count.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            f.write(f"# k={spec.length}\n")
-            f.write(f"# min_range={spec.min_range}\n")
-            f.write(f"# version={__version__}\n")
-            f.write("# count=")
-            patch_at = f.tell()
-            f.write(" " * _COUNT_PAD + "\n")
-            count = 0
-            for basis in bases:
-                f.write(format_basis(basis))
-                f.write("\n")
-                count += 1
-            if len(str(count)) > _COUNT_PAD:
-                raise ValueError(f"count {count} exceeds the header field")
-            f.seek(patch_at)
-            f.write(str(count))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return count

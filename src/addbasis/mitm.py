@@ -154,28 +154,24 @@ def _suffix_records(suffixes: Iterable[Basis], half: int):
 
 
 def _prefix_records(prefixes: Iterable[Basis]):
-    return [(p[-1], p, *sumset_bits(p)) for p in prefixes]
+    return [(p[-1], p, sumset_bits(p)[1]) for p in prefixes]
 
 
 def _scan_pairs(args) -> list[Basis]:
     """All valid gluings between a block of prefixes and every suffix.
 
-    A pair is checked exactly: cross sums are built by shifting one side's
-    element mask by each element of the other side, and the union of the
+    A pair is checked exactly: cross sums are built by shifting the
+    suffix's element mask by each prefix element, and the union of the
     three coverage vectors must equal [0, n]."""
-    prefix_block, suffix_records, full, shift_prefix = args
+    prefix_block, suffix_records, full = args
     found: list[Basis] = []
-    for last, p, maskp, covp in prefix_block:
+    for last, p, covp in prefix_block:
         for minr, r, maskr, covr in suffix_records:
             if minr <= last:
                 break
             cross = 0
-            if shift_prefix:
-                for a in r:
-                    cross |= maskp << a
-            else:
-                for a in p:
-                    cross |= maskr << a
+            for a in p:
+                cross |= maskr << a
             if covp | covr | cross == full:
                 found.append(p + r)
     return found
@@ -230,18 +226,16 @@ def search_restricted(
     full = (1 << (target.n + 1)) - 1
     suffix_records = _suffix_records(suffixes, half)
     prefix_records = _prefix_records(prefixes)
-    # shift the mask of the longer side by the elements of the shorter
-    shift_prefix = i + 1 <= j + 1
 
     if processes > 1 and len(prefix_records) > 1:
         chunk = (len(prefix_records) + processes - 1) // processes
         blocks = [prefix_records[o : o + chunk] for o in range(0, len(prefix_records), chunk)]
-        jobs = [(block, suffix_records, full, shift_prefix) for block in blocks]
+        jobs = [(block, suffix_records, full) for block in blocks]
         with multiprocessing.Pool(processes) as pool:
             parts = pool.map(_scan_pairs, jobs)
         found = [basis for part in parts for basis in part]
     else:
-        found = _scan_pairs((prefix_records, suffix_records, full, shift_prefix))
+        found = _scan_pairs((prefix_records, suffix_records, full))
 
     report = SearchReport(
         k=target.k,

@@ -203,12 +203,24 @@ class TestPrefixCache:
             cache.load(4, 10)
 
     def test_truncation_detected(self, tmp_path):
+        # the count line is written last, so a cut-off entry has none
         cache = PrefixCache(tmp_path)
         path = cache.store(4, 10, [(0, 1, 2, 3, 4), (0, 1, 2, 4, 5)])
         lines = path.read_text().splitlines()
+        assert lines[-1] == "# count=2"
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ValueError, match=f"{path.name}: no count line"):
             cache.load(4, 10)
+
+    def test_entry_with_count_in_header_loads(self, tmp_path):
+        # the layout of entries written before the count moved last
+        cache = PrefixCache(tmp_path)
+        path = cache.path_for(4, 10)
+        path.write_text(
+            "# k=4\n# min_range=10\n# version=0.1.0\n# count=2" + " " * 11 + "\n"
+            "0 1 2 3 4\n0 1 2 4 5\n"
+        )
+        assert cache.load(4, 10) == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 5)]
 
     def test_interrupted_store_leaves_no_entry(self, tmp_path):
         cache = PrefixCache(tmp_path)

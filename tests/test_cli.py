@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import addbasis
 from addbasis import __version__
 from addbasis.catalog import PrefixCache
 from addbasis.cli import main
@@ -23,6 +27,27 @@ def blocked_dir(tmp_path):
     """A directory path that cannot exist: its parent is a regular file."""
     (tmp_path / "file").write_text("")
     return tmp_path / "file" / "dir"
+
+
+@pytest.fixture
+def bases_file(tmp_path):
+    """A two-line file of bases for `verify`, named by `{bases}` in an argv."""
+    path = tmp_path / "bases.txt"
+    path.write_text("0 1 3 4\n0 1 2 5 7 11 15 19 21 22 24\n")
+    return path
+
+
+def with_bases(argv, bases_file):
+    return [a.format(bases=bases_file) for a in argv]
+
+
+# commands whose --out file holds exactly the bytes stdout would show
+OUT_EQUALS_STDOUT = {
+    "search": ("search", "-k", "9", "-n", "40"),
+    "enumerate": ("enumerate", "-k", "5", "--min-range", "10"),
+    "verify": ("verify", "{bases}"),
+    "oracle": ("oracle", "-k", "3"),
+}
 
 
 def stdout_bases(out):
@@ -60,30 +85,35 @@ class TestSearch:
             main(["search", "-k", "10"])
         assert exc.value.code == 2
 
-    def test_out_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", OUT_EQUALS_STDOUT.values(), ids=OUT_EQUALS_STDOUT)
+    def test_out_file(self, capsys, tmp_path, bases_file, argv):
         # --out writes exactly the bytes stdout would show
+        argv = with_bases(argv, bases_file)
         out_path = tmp_path / "report.txt"
-        _, shown, _ = run(capsys, "search", "-k", "9", "-n", "40")
-        code, out, _ = run(capsys, "search", "-k", "9", "-n", "40", "--out", str(out_path))
+        _, shown, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0
         assert out == ""
         assert out_path.read_text() == shown
-        assert "# k=9\n# n=40\n" in shown
+        assert shown
 
-    def test_json_out_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", OUT_EQUALS_STDOUT.values(), ids=OUT_EQUALS_STDOUT)
+    def test_json_out_file(self, capsys, tmp_path, bases_file, argv):
         out_path = tmp_path / "report.json"
-        argv = ("search", "-k", "9", "-n", "40", "--format", "json")
+        argv = (*with_bases(argv, bases_file), "--format", "json")
         _, shown, _ = run(capsys, *argv)
         code, out, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0 and out == ""
         assert out_path.read_text() == shown
-        assert json.loads(shown)["count"] >= 1
+        assert json.loads(shown)
 
     def test_unwritable_out_is_usage_error(self, capsys, blocked_dir):
+        # the path is checked before the search starts, so no progress shows
         out_path = blocked_dir / "r.txt"
         code, out, err = run(capsys, "search", "-k", "5", "-n", "16", "--out", str(out_path))
         assert code == 2 and out == ""
-        assert err.splitlines()[-1].startswith("error: ") and str(out_path) in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(out_path) in line
 
     def test_cache_dir_under_a_file_is_usage_error(self, capsys, blocked_dir):
         code, out, err = run(capsys, "search", "-k", "5", "-n", "16", "--cache-dir", str(blocked_dir))
@@ -199,12 +229,13 @@ class TestEnumerate:
         assert f"# count={len(expected)}" in out
 
     def test_out_file_backpatches_count(self, capsys, tmp_path):
+        # the stream's count, known only at its end, is its last line
         path = tmp_path / "stream.txt"
         code, _, _ = run(capsys, "enumerate", "-k", "5", "--min-range", "10", "--out", str(path))
         assert code == 0
         with open(path) as f:
             meta, bases = read_bases(f, str(path))
-        assert int(meta["count"]) == len(bases)
+        assert path.read_text().splitlines()[-1] == f"# count={len(bases)}"
         assert bases == list(enumerate_admissible(EnumSpec(5, 10)))
 
     def test_json_document(self, capsys):
@@ -214,9 +245,12 @@ class TestEnumerate:
         assert doc["count"] == 5 and len(doc["bases"]) == 5
 
     def test_unwritable_out_is_usage_error(self, capsys, blocked_dir):
-        code, _, err = run(capsys, "enumerate", "-k", "3", "--out", str(blocked_dir / "x.txt"))
+        # the error names the user's path, not the temporary file
+        out_path = blocked_dir / "x.txt"
+        code, _, err = run(capsys, "enumerate", "-k", "3", "--out", str(out_path))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"'{out_path}'" in err and ".tmp" not in err
 
     def test_usage_error_on_bad_length(self, capsys):
         code, _, err = run(capsys, "enumerate", "-k", "0")
@@ -302,3 +336,86 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_failure_leaves_out_untouched(self, capsys, tmp_path):
+        out_path = tmp_path / "out.txt"
+        out_path.write_text("kept\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 3 1\n")
+        assert run(capsys, "verify", str(bad), "--out", str(out_path))[0] == 1
+        assert run(capsys, "search", "-k", "5", "-n", "15", "--out", str(out_path))[0] == 2
+        assert out_path.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "out.txt"]
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # the reader goes away after one line of a ~1 MB stream, more
+        # than the pipe holds, so the writer meets the closed pipe
+        src = str(Path(addbasis.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "addbasis.cli", "enumerate", "-k", "9", "--threads", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"# k=9\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
+
+
+def pinned(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# literal stdout of small runs, text and JSON, so that a refactor that
+# changes any output byte fails here
+PINNED_STDOUT = {
+    "search": (
+        ("search", "-k", "5", "-n", "16"),
+        "# k=5\n# n=16\n# pivot=2\n# count=1\n0 1 3 5 7 8\n",
+        pinned({"k": 5, "n": 16, "pivot": 2, "count": 1, "bases": [[0, 1, 3, 5, 7, 8]]}),
+    ),
+    "extremal": (
+        ("extremal", "-k", "5"),
+        "n2*(5) = 16\n# k=5\n# n=16\n# pivot=2\n# count=1\n0 1 3 5 7 8\n"
+        "MATCH: catalog n2*(5) = 16\n",
+        pinned({
+            "k": 5, "n2_star": 16, "pivot": 2, "count": 1, "bases": [[0, 1, 3, 5, 7, 8]],
+            "catalog_n2_star": 16, "match": True,
+        }),
+    ),
+    "enumerate": (
+        ("enumerate", "-k", "4", "--min-range", "12"),
+        "# k=4\n# min_range=12\n# version=0.1.0\n0 1 3 5 6\n# count=1\n",
+        pinned({"k": 4, "min_range": 12, "version": "0.1.0", "count": 1, "bases": [[0, 1, 3, 5, 6]]}),
+    ),
+    "oracle": (
+        ("oracle", "-k", "3"),
+        "# k=3\n# n2=8\n# extremal_count=1\n0 1 3 4\n"
+        "# n2_restricted=8\n# extremal_restricted_count=1\n0 1 3 4\n",
+        pinned({
+            "k": 3, "n2": 8, "extremal": [[0, 1, 3, 4]],
+            "n2_restricted": 8, "extremal_restricted": [[0, 1, 3, 4]],
+        }),
+    ),
+    "verify": (
+        ("verify", "{bases}"),
+        "0 1 3 4: range 8, admissible, restricted, symmetric\n"
+        "0 1 2 5 7 11 15 19 21 22 24: range 46, admissible, not restricted, asymmetric\n",
+        pinned({"bases": [
+            {"elements": [0, 1, 3, 4], "range": 8,
+             "admissible": True, "restricted": True, "symmetric": True},
+            {"elements": [0, 1, 2, 5, 7, 11, 15, 19, 21, 22, 24], "range": 46,
+             "admissible": True, "restricted": False, "symmetric": False},
+        ]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, text, doc", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
+def test_pinned_stdout(capsys, bases_file, argv, text, doc, fmt):
+    code, out, _ = run(capsys, *with_bases(argv, bases_file), "--format", fmt)
+    assert code == 0
+    assert out == (text if fmt == "text" else doc)

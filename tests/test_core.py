@@ -10,6 +10,7 @@ from addbasis.core import (
     MAX_ELEMENT,
     BasisError,
     as_basis,
+    atomic_write,
     basis_range,
     classify,
     format_basis,
@@ -17,8 +18,9 @@ from addbasis.core import (
     parse_basis,
     read_bases,
     sumset_bits,
+    write_bases,
 )
-from addbasis.enumeration import EnumSpec, save_enumeration
+from addbasis.enumeration import EnumSpec
 from addbasis.mitm import SearchTarget
 
 bases = st.lists(
@@ -238,9 +240,20 @@ class TestTextForm:
             with pytest.raises(ValueError, match="s.txt: header count .* not an integer"):
                 read_bases([damaged, "0 1"], "s.txt")
 
-    def test_write_bases(self, tmp_path):
-        # the writer puts one formatted basis per line under its header
-        path = tmp_path / "stream.txt"
-        assert save_enumeration(path, EnumSpec(2), [(0, 1, 2), (0, 1, 3)]) == 2
-        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
-        assert body == ["0 1 2", "0 1 3"]
+    def test_write_bases(self):
+        # header lines, one formatted basis per line, and the count last
+        f = io.StringIO()
+        assert write_bases(f, {"k": 2, "min_range": 0}, [(0, 1, 2), (0, 1, 3)]) == 2
+        assert f.getvalue() == "# k=2\n# min_range=0\n0 1 2\n0 1 3\n# count=2\n"
+        f.seek(0)
+        assert read_bases(f) == ({"k": "2", "min_range": "0", "count": "2"}, [(0, 1, 2), (0, 1, 3)])
+
+    def test_atomic_write_follows_symlink(self, tmp_path):
+        # the file a symlink names is replaced; the link stays a link
+        (tmp_path / "real.txt").write_text("old\n")
+        (tmp_path / "link.txt").symlink_to("real.txt")
+        with atomic_write(tmp_path / "link.txt") as f:
+            f.write("new\n")
+        assert (tmp_path / "link.txt").is_symlink()
+        assert (tmp_path / "real.txt").read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]

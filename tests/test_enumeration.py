@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
-from addbasis.core import basis_range, read_bases, sumset_bits
-from addbasis.enumeration import EnumSpec, enumerate_admissible, save_enumeration, stems
+from addbasis.core import atomic_write, basis_range, read_bases, sumset_bits, write_bases
+from addbasis.enumeration import EnumSpec, enumerate_admissible, stems
 from addbasis.oracle import all_admissible
 
 bases = st.lists(
@@ -41,6 +41,11 @@ def stem_specs(draw):
 def load(path):
     with open(path) as f:
         return read_bases(f, str(path))
+
+
+def save(path, spec, bases):
+    with atomic_write(path) as f:
+        return write_bases(f, {"k": spec.length, "min_range": spec.min_range}, bases)
 
 
 class TestEnumSpec:
@@ -256,30 +261,28 @@ class TestSaveLoad:
         spec = EnumSpec(5, 10)
         expected = list(enumerate_admissible(spec))
         path = tmp_path / "stream.txt"
-        count = save_enumeration(path, spec, enumerate_admissible(spec))
+        count = save(path, spec, enumerate_admissible(spec))
         assert count == len(expected)
         meta, bases = load(path)
         assert bases == expected
-        assert meta["k"] == "5" and meta["min_range"] == "10"
-        assert int(meta["count"]) == len(expected)
-        assert "version" in meta
+        assert meta == {"k": "5", "min_range": "10", "count": str(len(expected))}
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.txt"
-        assert save_enumeration(path, EnumSpec(3, 9), iter(())) == 0
+        assert save(path, EnumSpec(3, 9), iter(())) == 0
         meta, bases = load(path)
         assert bases == [] and meta["count"] == "0"
 
     def test_interrupted_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "stream.txt"
-        save_enumeration(path, EnumSpec(3), [(0, 1, 3, 4)])
+        save(path, EnumSpec(3), [(0, 1, 3, 4)])
 
         def broken():
             yield (0, 1, 2, 3)
             raise RuntimeError("stopped")
 
         with pytest.raises(RuntimeError):
-            save_enumeration(path, EnumSpec(3), broken())
+            save(path, EnumSpec(3), broken())
         # the complete earlier file survives and no temporary is left over
         assert load(path)[1] == [(0, 1, 3, 4)]
         assert [p.name for p in tmp_path.iterdir()] == ["stream.txt"]
