@@ -18,6 +18,16 @@ affects speed, never correctness.  Mirroring the basis about a_k swaps
 the roles of the two streams, which is why the mirror of a restricted
 basis is again restricted and asymmetric solutions arrive in pairs.
 
+The pair scan picks a prefix's suffixes by the prefix's first gap.  A
+suffix R can follow P only if min R > max P.  Let g <= n be the first
+gap of P + P.  Then g is not a sum of two elements of P (by definition)
+and not a sum of two elements of R (2 min R >= 2 max P + 2 > g, as no
+sum of P exceeds 2 max P).  So a gluing that covers g has g = a + b with
+a in P and b in R: R must meet g - P.  An index from each value to the
+suffixes that contain it yields exactly those suffixes, and each still
+gets the full coverage check, so the filter drops only pairs that leave
+g uncovered and the scan stays exact.
+
 The extremal restricted range n2*(k) is found by walking n downward from
 the pairing upper bound (n2* is even):
 
@@ -29,8 +39,8 @@ since the first empty level certifies every larger even n empty as well.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -158,17 +168,45 @@ def _prefix_records(prefixes: Iterable[Basis]):
 
 
 def _scan_pairs(args) -> list[Basis]:
-    """All valid gluings between a block of prefixes and every suffix.
+    """All valid gluings of a prefix record to a suffix record.
 
-    A pair is checked exactly: cross sums are built by shifting the
-    suffix's element mask by each prefix element, and the union of the
-    three coverage vectors must equal [0, n]."""
-    prefix_block, suffix_records, full = args
+    Only the front run of suffix records (minimum above the prefix's
+    last element) can follow a prefix p.  Let g be the first gap of
+    p + p.  If g <= n, a suffix r completes p only if it contains g - a
+    for some a in p: g is not a sum within p by definition, nor within
+    r, since 2 r[0] >= 2 p[-1] + 2 > g.  So a prefix's candidates are
+    the OR of the index masks over g - p, ANDed with the front run; a
+    prefix with g > n keeps the whole front run.  Every candidate is
+    checked in full: cross sums are built by shifting the suffix's
+    element mask by each prefix element, and the union of the three
+    coverage vectors must equal [0, n].  The filter drops only suffixes
+    that leave g uncovered, so the result is that of checking every
+    pair of the front run."""
+    prefix_records, suffix_records, full = args
+    n = full.bit_length() - 1
+    # value -> bitmask of the suffix records (by position) containing it
+    index: dict[int, int] = {}
+    for i, rec in enumerate(suffix_records):
+        bit = 1 << i
+        for x in rec[1]:
+            index[x] = index.get(x, 0) | bit
+    neg_minr = [-rec[0] for rec in suffix_records]
+
     found: list[Basis] = []
-    for last, p, covp in prefix_block:
-        for minr, r, maskr, covr in suffix_records:
-            if minr <= last:
-                break
+    for last, p, covp in prefix_records:
+        front = (1 << bisect_left(neg_minr, -last)) - 1
+        g = ((covp + 1) & ~covp).bit_length() - 1
+        if g > n:
+            candidates = front
+        else:
+            candidates = 0
+            for a in p:
+                candidates |= index.get(g - a, 0)
+            candidates &= front
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            _, r, maskr, covr = suffix_records[low.bit_length() - 1]
             cross = 0
             for a in p:
                 cross |= maskr << a
@@ -191,7 +229,8 @@ def search_restricted(
     The two streams are enumerated on demand (consulting / feeding the
     cache when one is given); pass prefixes/suffixes explicitly to seed
     from a prior run.  When the pivot splits evenly the prefix stream is
-    reused as the suffix stream.
+    reused as the suffix stream.  `processes` spreads the enumeration of
+    the streams over a process pool; the pair scan runs in this process.
     """
     t0 = time.perf_counter()
     i, j = target.pivot, target.suffix_length
@@ -227,15 +266,7 @@ def search_restricted(
     suffix_records = _suffix_records(suffixes, half)
     prefix_records = _prefix_records(prefixes)
 
-    if processes > 1 and len(prefix_records) > 1:
-        chunk = (len(prefix_records) + processes - 1) // processes
-        blocks = [prefix_records[o : o + chunk] for o in range(0, len(prefix_records), chunk)]
-        jobs = [(block, suffix_records, full) for block in blocks]
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(_scan_pairs, jobs)
-        found = [basis for part in parts for basis in part]
-    else:
-        found = _scan_pairs((prefix_records, suffix_records, full))
+    found = _scan_pairs((prefix_records, suffix_records, full))
 
     report = SearchReport(
         k=target.k,

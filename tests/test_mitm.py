@@ -1,9 +1,13 @@
 """Tests for the meet-in-the-middle search."""
 
+from functools import cache
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT, CatalogMissingError, PrefixCache
-from addbasis.core import classify, mirror
+from addbasis.core import basis_range, classify, mirror
 from addbasis.enumeration import EnumSpec, enumerate_admissible
 from addbasis.mitm import (
     SearchReport,
@@ -17,6 +21,66 @@ from addbasis.oracle import brute_force
 
 K25_BASIS = (0, 1, 3, 4, 6, 10, 13, 15, 21, 29, 37, 45, 53,
              61, 69, 77, 85, 93, 99, 101, 104, 108, 110, 111, 113, 114)
+
+
+def naive_gluing(n, prefixes, suffixes):
+    """Every gluing of a prefix to a mirrored suffix, trying all pairs: the
+    suffix is un-mirrored about n/2, and p + r is kept when it is strictly
+    increasing and its sums cover [0, n].  Sorted, duplicates kept."""
+    half = n // 2
+    full = (1 << (n + 1)) - 1
+    found = []
+    for p in prefixes:
+        for b in suffixes:
+            q = p + tuple(half - x for x in reversed(b))
+            if any(x >= y for x, y in zip(q, q[1:])):
+                continue
+            mask = sums = 0
+            for x in q:
+                mask |= 1 << x
+                sums |= mask << x
+            if sums & full == full:
+                found.append(q)
+    return sorted(found)
+
+
+@cache
+def stream(length, min_range):
+    return tuple(enumerate_admissible(EnumSpec(length, min_range)))
+
+
+def descent_levels(k, pivots):
+    """Every (n, pivot) the descent for k can visit: each even n from the
+    pairing upper bound down to n2*(k), at each pivot given."""
+    for pivot in pivots:
+        for n in range(upper_bound_restricted(k), DEFAULT.known_restricted_range(k) - 1, -2):
+            yield SearchTarget.create(k, n, pivot)
+
+
+@st.composite
+def admissible(draw, length, top):
+    """A random admissible basis of `length` + 1 elements, each next element
+    in [last + 1, range + 1]; `top` caps the draws where it can."""
+    basis = (0,)
+    for _ in range(length):
+        hi = max(basis[-1] + 1, min(basis_range(basis) + 1, top))
+        basis += (draw(st.integers(min_value=basis[-1] + 1, max_value=hi)),)
+    return basis
+
+
+@st.composite
+def glue_inputs(draw):
+    """(target, prefixes, suffixes) with streams of random admissible bases.
+    Suffix draws may reach n/2 or beyond (records the scan drops), and
+    either stream may be empty."""
+    i = draw(st.integers(min_value=1, max_value=5))
+    j = draw(st.integers(min_value=1, max_value=5))
+    k = i + j + 1
+    n = draw(st.integers(min_value=1, max_value=upper_bound_restricted(k) // 2)) * 2
+    half = n // 2
+    prefixes = draw(st.lists(admissible(i, top=half), max_size=12))
+    suffixes = draw(st.lists(admissible(j, top=half + 2), max_size=12))
+    return SearchTarget.create(k, n, i), prefixes, suffixes
 
 
 class TestSearchTarget:
@@ -162,6 +226,8 @@ class TestSearch:
             assert report.bases == default.bases, f"pivot {pivot}"
 
     def test_parallel_equals_serial(self):
+        # processes=2 enumerates both streams in a process pool; the pair
+        # scan runs in this process either way
         target = SearchTarget.create(10, 44)
         serial = search_restricted(target)
         parallel = search_restricted(target, processes=2)
@@ -191,6 +257,39 @@ class TestSearch:
         warm = search_restricted(target, cache=cache, log=messages.append)
         assert warm == cold
         assert any("cache hit" in m for m in messages)
+
+
+class TestPairScan:
+    """The indexed pair scan against a naive all-pairs gluing, on the
+    streams each descent level enumerates and on random streams."""
+
+    @staticmethod
+    def check(target, prefixes, suffixes):
+        report = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+        assert list(report.bases) == naive_gluing(target.n, prefixes, suffixes), target
+
+    @pytest.mark.parametrize("k", range(3, 20))
+    def test_every_level_equals_naive_gluing(self, k):
+        # every pivot up to k = 11, the default pivot above
+        pivots = range(1, k - 1) if k <= 11 else [None]
+        for target in descent_levels(k, pivots):
+            self.check(
+                target,
+                stream(target.pivot, target.prefix_min_range),
+                stream(target.suffix_length, target.suffix_min_range),
+            )
+
+    # (0, 1, 3, 4) covers [0, 8] by itself: first gap 9 > n
+    @example((SearchTarget.create(6, 8, 3), [(0, 1, 3, 4), (0, 1, 2, 3)], [(0, 1, 2), (0, 1, 3)]))
+    # both suffixes reach n/2 = 3, so the scan drops both records
+    @example((SearchTarget.create(4, 6, 1), [(0, 1)], [(0, 1, 2), (0, 1, 3)]))
+    # each of the four pairs glues, e.g. (0, 1, 3) + (4, 5, 7, 8)
+    @example((SearchTarget.create(6, 16, 2), [(0, 1, 3), (0, 1, 2)], [(0, 1, 3, 4), (0, 1, 2, 4)]))
+    @example((SearchTarget.create(6, 16, 2), [], [(0, 1, 3, 4)]))
+    @example((SearchTarget.create(6, 16, 2), [(0, 1, 3)], []))
+    @given(glue_inputs())
+    def test_random_streams_equal_naive_gluing(self, inputs):
+        self.check(*inputs)
 
 
 class TestFindExtremal:
