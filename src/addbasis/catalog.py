@@ -104,7 +104,7 @@ def _load_fixture_file(name: str) -> dict[int, tuple[Fixture, ...]]:
         try:
             length = int(parts[0])
             rng = int(parts[1])
-            basis = as_basis(int(t) for t in parts[3:])
+            basis = as_basis(parts[3:])
         except ValueError as exc:
             raise ValueError(f"{name}: line {lineno}: {exc}") from None
         if len(basis) != length + 1:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, eq, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -41,9 +43,15 @@ class BasisError(ValueError):
 def as_basis(elements: Iterable[int]) -> Basis:
     """Validate and normalize to a basis tuple.
 
-    Requires a strictly increasing sequence of ints starting at 0.
+    This is the one statement of the validity rule: the elements, each
+    converted once with int(), start at 0, strictly increase and end at
+    most MAX_ELEMENT.  Valid input passes C-level checks only; the checks
+    that name what is wrong run only for invalid input.  An element that
+    int() rejects raises int()'s own ValueError.
     """
-    elems = tuple(int(a) for a in elements)
+    elems = tuple(map(int, elements))
+    if elems and elems[0] == 0 and elems[-1] <= MAX_ELEMENT and all(map(lt, elems, elems[1:])):
+        return elems
     if not elems:
         raise BasisError("a basis has at least the element 0")
     if elems[0] != 0:
@@ -51,9 +59,7 @@ def as_basis(elements: Iterable[int]) -> Basis:
     for prev, cur in zip(elems, elems[1:]):
         if cur <= prev:
             raise BasisError(f"elements must strictly increase, got {prev} then {cur}")
-    if elems[-1] > MAX_ELEMENT:
-        raise BasisError(f"element {elems[-1]} exceeds the supported maximum {MAX_ELEMENT}")
-    return elems
+    raise BasisError(f"element {elems[-1]} exceeds the supported maximum {MAX_ELEMENT}")
 
 
 def sumset_bits(elements: Iterable[int]) -> tuple[int, int]:
@@ -113,7 +119,7 @@ def classify(basis: Sequence[int]) -> BasisClass:
     """Classify a valid basis (admissible / restricted / symmetric)."""
     top = basis[-1]
     rng = basis_range(basis)
-    sym = all(basis[i] + basis[-1 - i] == top for i in range((len(basis) + 1) // 2))
+    sym = all(map(eq, map(add, basis, reversed(basis)), repeat(top)))
     return BasisClass(
         admissible=rng >= top,
         restricted=rng >= 2 * top,
@@ -123,7 +129,7 @@ def classify(basis: Sequence[int]) -> BasisClass:
 
 
 def format_basis(basis: Sequence[int]) -> str:
-    return " ".join(str(a) for a in basis)
+    return " ".join(map(str, basis))
 
 
 def parse_basis(text: str, lineno: int | None = None) -> Basis:
@@ -133,13 +139,11 @@ def parse_basis(text: str, lineno: int | None = None) -> Basis:
     if not tokens:
         raise BasisError(where + "empty basis line")
     try:
-        elems = [int(t) for t in tokens]
-    except ValueError:
-        raise BasisError(where + f"non-integer token in {text!r}") from None
-    try:
-        return as_basis(elems)
+        return as_basis(tokens)
     except BasisError as exc:
         raise BasisError(where + str(exc)) from None
+    except ValueError:
+        raise BasisError(where + f"non-integer token in {text!r}") from None
 
 
 def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequence[int]]) -> int:
@@ -151,8 +155,7 @@ def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequen
         write(f"# {key}={value}\n")
     count = 0
     for basis in bases:
-        write(format_basis(basis))
-        write("\n")
+        write(format_basis(basis) + "\n")
         count += 1
     write(f"# count={count}\n")
     return count
@@ -191,23 +194,32 @@ def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, s
     Lines of the form `# key=value` fill the header dict, wherever they
     appear (streams put `count` last, reports in the header); other `#`
     lines and blank lines are skipped; every other line is one basis.
-    When the text carries `count`, it must be an integer equal to the
-    number of bases.  Errors are ValueErrors that name the source and, for
-    a basis line, its line number.
+    `lines` is consumed one line at a time (a file is never read whole),
+    and each basis line is split and converted once and checked by
+    as_basis, the one validity rule: elements start at 0, strictly
+    increase and stay at most MAX_ELEMENT.  When the text carries `count`,
+    it must be an integer equal to the number of bases.  Errors are
+    ValueErrors that name the source and, for a basis line, its line
+    number.
     """
     meta: dict[str, str] = {}
     bases: list[Basis] = []
+    append = bases.append
     try:
         for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
+            tokens = line.split()
+            if not tokens:
                 continue
-            if stripped.startswith("#"):
-                key, eq, value = stripped[1:].partition("=")
-                if eq:
+            if tokens[0][0] == "#":
+                key, sep, value = line.strip()[1:].partition("=")
+                if sep:
                     meta[key.strip()] = value.strip()
                 continue
-            bases.append(parse_basis(stripped, lineno))
+            try:
+                append(as_basis(tokens))
+            except ValueError:
+                # parse_basis raises the error that names the line
+                append(parse_basis(line.strip(), lineno))
     except BasisError as exc:
         raise BasisError(f"{name}: {exc}") from None
     if "count" in meta:

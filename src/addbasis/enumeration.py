@@ -228,8 +228,8 @@ def enumerate_admissible(spec: EnumSpec, *, prune: bool = True, processes: int =
     in lexicographic order.
 
     prune=False disables both the counting cut and the exact last-element
-    step (same stream, more work); with processes > 1 the stem partitions run in a process pool and results
-    merge back in order.
+    step (same stream, more work).  With processes > 1 the stem partitions
+    run in a process pool and their results merge back in order.
     """
     stem = spec.stem
     depth = max(len(stem) - 1, 2)

@@ -232,6 +232,54 @@ class TestTextForm:
         with pytest.raises(BasisError, match="bad.txt: line 2"):
             read_bases(bad, "bad.txt")
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("0 1 3 4", (0, 1, 3, 4)),
+            ("  0\t1 3  4 ", (0, 1, 3, 4)),
+            ("0", (0,)),
+            ("0 +3 0_4 \uff15", (0, 3, 4, 5)),  # int() accepts a sign, "_" and full-width digits
+            ("\uff10 1", (0, 1)),
+            (f"0 1 {MAX_ELEMENT}", (0, 1, MAX_ELEMENT)),
+            ("0 1 x", "bad.txt: line 4: non-integer token in '0 1 x'"),
+            ("0 1.5 2", "bad.txt: line 4: non-integer token in '0 1.5 2'"),
+            ("0 3 1 x", "bad.txt: line 4: non-integer token in '0 3 1 x'"),
+            ("1 2 3", "bad.txt: line 4: a basis starts at 0, got 1"),
+            ("-1 0 1", "bad.txt: line 4: a basis starts at 0, got -1"),
+            ("0 1 1 2", "bad.txt: line 4: elements must strictly increase, got 1 then 1"),
+            ("0 3 2", "bad.txt: line 4: elements must strictly increase, got 3 then 2"),
+            ("0 1 -1", "bad.txt: line 4: elements must strictly increase, got 1 then -1"),
+            ("0 1 4194305", "bad.txt: line 4: element 4194305 exceeds the supported maximum 4194304"),
+            ("0 4194305 2", "bad.txt: line 4: elements must strictly increase, got 4194305 then 2"),
+        ],
+    )
+    def test_read_bases_accepts_and_rejects(self, line, expected):
+        # the line comes fourth, after a header line, a blank line and a good basis
+        text = f"# k=3\n\n0 1 2\n{line}\n"
+        if isinstance(expected, tuple):
+            assert read_bases(io.StringIO(text), "bad.txt") == ({"k": "3"}, [(0, 1, 2), expected])
+            assert parse_basis(line) == as_basis(line.split()) == expected
+        else:
+            with pytest.raises(BasisError) as info:
+                read_bases(io.StringIO(text), "bad.txt")
+            assert str(info.value) == expected
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=1, max_value=MAX_ELEMENT), max_size=12, unique=True).map(
+                lambda xs: (0, *sorted(xs))
+            ),
+            max_size=8,
+        )
+    )
+    def test_write_read_roundtrip(self, stream):
+        f = io.StringIO()
+        assert write_bases(f, {"k": 3, "min_range": 5}, stream) == len(stream)
+        f.seek(0)
+        meta, back = read_bases(f, "s.txt")
+        assert meta == {"k": "3", "min_range": "5", "count": str(len(stream))}
+        assert back == stream
+
     def test_read_bases_checks_count(self):
         assert read_bases(["# count=1", "0 1"]) == ({"count": "1"}, [(0, 1)])
         with pytest.raises(ValueError, match="s.txt: header count 2 but 1"):
