@@ -137,32 +137,36 @@ def cmd_verify(args, out: IO[str]) -> int:
                 _, bases = read_bases(f, args.path)
     except ValueError as exc:
         raise _Failed(exc) from None
-    records = [(basis, classify(basis)) for basis in bases]
+    # every read error comes before any output; then one basis at a time
+    write = out.write
     if args.format == "json":
-        doc = {
-            "bases": [
-                {
-                    "elements": list(b),
-                    "range": cls.range,
-                    "admissible": cls.admissible,
-                    "restricted": cls.restricted,
-                    "symmetric": cls.symmetric,
-                }
-                for b, cls in records
-            ]
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        # the layout json.dumps(..., indent=2) gives the whole document;
+        # encode equals json.dumps(record, indent=2), one encoder for all
+        encode = json.JSONEncoder(indent=2).encode
+        write('{\n  "bases": [')
+        sep = "\n    "
+        for basis in bases:
+            cls = classify(basis)
+            record = {
+                "elements": list(basis),
+                "range": cls.range,
+                "admissible": cls.admissible,
+                "restricted": cls.restricted,
+                "symmetric": cls.symmetric,
+            }
+            write(sep + encode(record).replace("\n", "\n    "))
+            sep = ",\n    "
+        write("\n  ]\n}\n" if bases else "]\n}\n")
         return 0
-    lines_out = []
-    for basis, cls in records:
+    for basis in bases:
+        cls = classify(basis)
         parts = [
             f"range {cls.range}",
             "admissible" if cls.admissible else "not admissible",
             "restricted" if cls.restricted else "not restricted",
             "symmetric" if cls.symmetric else "asymmetric",
         ]
-        lines_out.append(f"{format_basis(basis)}: " + ", ".join(parts))
-    out.write("\n".join(lines_out) + "\n" if lines_out else "")
+        write(format_basis(basis) + ": " + ", ".join(parts) + "\n")
     return 0
 
 

@@ -14,7 +14,12 @@ the first-gap scan and subset tests are word-parallel no matter how large
 the basis gets.
 
 Lists of bases are stored in one text format, read by read_bases and
-written by write_bases; files are written through atomic_write.
+written by write_bases; files are written through atomic_write.  A basis
+line is its elements one space apart, and _template is the one statement
+of that format: format_basis and write_bases fill it with a single `%`
+operation.  BasisClass is a plain (not frozen) slots record, since a
+frozen one sets each field through object.__setattr__, which cost about
+a quarter of classify; nothing hashes or mutates one.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ def mirror(elements: Iterable[int], b: int) -> tuple[int, ...]:
     return tuple(sorted(b - a for a in elems))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BasisClass:
     """Classification of a basis by its range.
 
@@ -128,8 +133,17 @@ def classify(basis: Sequence[int]) -> BasisClass:
     )
 
 
+def _template(n: int) -> str:
+    """The line of a basis with n elements: n `%s` fields one space apart.
+
+    `%s` calls str() on each element, so the line equals
+    " ".join(map(str, basis)) for any element type.
+    """
+    return " ".join(["%s"] * n)
+
+
 def format_basis(basis: Sequence[int]) -> str:
-    return " ".join(map(str, basis))
+    return _template(len(basis)) % tuple(basis)
 
 
 def parse_basis(text: str, lineno: int | None = None) -> Basis:
@@ -153,9 +167,15 @@ def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequen
     write = f.write
     for key, value in header.items():
         write(f"# {key}={value}\n")
+    # one line template per basis length, kept only for this call
+    templates: dict[int, str] = {}
     count = 0
     for basis in bases:
-        write(format_basis(basis) + "\n")
+        n = len(basis)
+        template = templates.get(n)
+        if template is None:
+            template = templates[n] = _template(n) + "\n"
+        write(template % tuple(basis))
         count += 1
     write(f"# count={count}\n")
     return count

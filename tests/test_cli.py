@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import addbasis
 from addbasis import __version__
 from addbasis.catalog import PrefixCache
 from addbasis.cli import main
-from addbasis.core import parse_basis, read_bases
+from addbasis.core import parse_basis, read_bases, write_bases
 from addbasis.enumeration import EnumSpec, enumerate_admissible
 
 
@@ -419,3 +421,65 @@ def test_pinned_stdout(capsys, bases_file, argv, text, doc, fmt):
     code, out, _ = run(capsys, *with_bases(argv, bases_file), "--format", fmt)
     assert code == 0
     assert out == (text if fmt == "text" else doc)
+
+
+# literal stdout of `verify` on 0 and 1 basis: the streamed JSON must keep
+# the layout json.dumps(..., indent=2) gives, the empty list included
+PINNED_VERIFY = {
+    "empty-text": ("", "text", ""),
+    "empty-json": ("", "json", '{\n  "bases": []\n}\n'),
+    "one-text": ("0 1 3 4\n", "text", "0 1 3 4: range 8, admissible, restricted, symmetric\n"),
+    "one-json": (
+        "0 1 3 4\n",
+        "json",
+        '{\n  "bases": [\n    {\n      "elements": [\n        0,\n        1,\n        3,\n        4\n'
+        '      ],\n      "range": 8,\n      "admissible": true,\n      "restricted": true,\n'
+        '      "symmetric": true\n    }\n  ]\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("content, fmt, expected", PINNED_VERIFY.values(), ids=PINNED_VERIFY)
+def test_pinned_verify(capsys, tmp_path, content, fmt, expected):
+    path = tmp_path / "bases.txt"
+    path.write_text(content)
+    code, out, _ = run(capsys, "verify", str(path), "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+class _Sink:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_verify_streams_its_output(tmp_path, monkeypatch):
+    # verify --format json holds the list read_bases returns, not the
+    # records or the document: its peak stays within 3x the reader's
+    rng = random.Random(9)
+    stream = [(0, *sorted(rng.sample(range(1, 400), 12))) for _ in range(20_000)]
+    path = tmp_path / "bases.txt"
+    with open(path, "w") as f:
+        write_bases(f, {}, stream)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def read():
+        with open(path) as f:
+            read_bases(f)
+
+    monkeypatch.setattr("sys.stdout", _Sink())
+    read_peak = peak(read)
+    verify_peak = peak(lambda: main(["verify", str(path), "--format", "json"]))
+    assert verify_peak < 3 * read_peak

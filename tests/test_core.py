@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from addbasis.core import (
     MAX_ELEMENT,
+    BasisClass,
     BasisError,
     as_basis,
     atomic_write,
@@ -185,6 +186,22 @@ class TestClassify:
         assert not cls.admissible and not cls.restricted
         assert cls.range == 0
 
+    @pytest.mark.parametrize(
+        "basis, expected",
+        [
+            ((0, 1), BasisClass(admissible=True, restricted=True, symmetric=True, range=2)),
+            ((0, 1, 3, 4), BasisClass(admissible=True, restricted=True, symmetric=True, range=8)),
+            (
+                (0, 1, 2, 5, 7, 11, 15, 19, 21, 22, 24),
+                BasisClass(admissible=True, restricted=False, symmetric=False, range=46),
+            ),
+            ((0, 2), BasisClass(admissible=False, restricted=False, symmetric=True, range=0)),
+        ],
+    )
+    def test_equals_record(self, basis, expected):
+        # the worked examples above, compared as whole records
+        assert classify(basis) == expected
+
     @given(bases)
     def test_restricted_implies_admissible(self, basis):
         cls = classify(basis)
@@ -201,6 +218,19 @@ class TestClassify:
 class TestTextForm:
     def test_format(self):
         assert format_basis((0, 1, 3, 4)) == "0 1 3 4"
+
+    @given(st.lists(st.integers(min_value=0, max_value=MAX_ELEMENT), min_size=1, max_size=60))
+    def test_format_equals_join(self, elements):
+        expected = " ".join(map(str, elements))
+        assert format_basis(elements) == expected
+        assert format_basis(tuple(elements)) == expected
+
+    def test_format_calls_str(self):
+        # each element is written as str() writes it, whatever its type
+        assert format_basis((0, 1.5, True, 7)) == "0 1.5 True 7"
+        f = io.StringIO()
+        write_bases(f, {}, [(0, 2.5)])
+        assert f.getvalue() == "0 2.5\n# count=1\n"
 
     def test_parse(self):
         assert parse_basis("0 1 3 4") == (0, 1, 3, 4)
@@ -295,6 +325,20 @@ class TestTextForm:
         assert f.getvalue() == "# k=2\n# min_range=0\n0 1 2\n0 1 3\n# count=2\n"
         f.seek(0)
         assert read_bases(f) == ({"k": "2", "min_range": "0", "count": "2"}, [(0, 1, 2), (0, 1, 3)])
+
+    def test_write_bases_mixed_lengths(self):
+        # lengths 1, 5, 12, then 5 again: one line template per length
+        f = io.StringIO()
+        stream = [(0,), (0, 1, 3, 5, 6), tuple(range(12)), [0, 2, 3, 7, 9]]
+        assert write_bases(f, {"k": "mixed"}, stream) == 4
+        assert f.getvalue() == (
+            "# k=mixed\n"
+            "0\n"
+            "0 1 3 5 6\n"
+            "0 1 2 3 4 5 6 7 8 9 10 11\n"
+            "0 2 3 7 9\n"
+            "# count=4\n"
+        )
 
     def test_atomic_write_follows_symlink(self, tmp_path):
         # the file a symlink names is replaced; the link stays a link

@@ -1,11 +1,13 @@
 """Time cache I/O and classify on one stream.
 
 The stream is the (10, 30) admissible stream, 192,684 bases, enumerated
-once before any timing.  Each round times three steps, serially, in this
+once before any timing.  Each round times four steps, serially, in this
 order:
     store     PrefixCache.store of the stream into a fresh directory;
     load      PrefixCache.load of that entry (read_bases on every line);
-    classify  classify() of every loaded basis.
+    classify  classify() of every loaded basis;
+    verify    `addbasis verify` of the stored entry, in this process
+              (cli.main), with stdout sent to os.devnull.
 Time is `time.process_time` (CPU seconds of this process), so the numbers
 do not count waiting for a shared machine.  The median over rounds is
 reported per step, with bases per second.
@@ -21,7 +23,9 @@ checkout times its own code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -31,11 +35,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from addbasis.catalog import PrefixCache  # noqa: E402
+from addbasis.cli import main as cli_main  # noqa: E402
 from addbasis.core import classify  # noqa: E402
 from addbasis.enumeration import EnumSpec, enumerate_admissible  # noqa: E402
 
 LENGTH, MIN_RANGE = 10, 30
-STEPS = ("store", "load", "classify")
+STEPS = ("store", "load", "classify", "verify")
 
 
 def time_round(stream: list) -> dict[str, float]:
@@ -44,19 +49,26 @@ def time_round(stream: list) -> dict[str, float]:
     with tempfile.TemporaryDirectory() as tmp:
         cache = PrefixCache(tmp)
         start = time.process_time()
-        cache.store(LENGTH, MIN_RANGE, stream)
+        path = cache.store(LENGTH, MIN_RANGE, stream)
         seconds["store"] = time.process_time() - start
 
         start = time.process_time()
         loaded = cache.load(LENGTH, MIN_RANGE)
         seconds["load"] = time.process_time() - start
 
-    start = time.process_time()
-    classes = [classify(b) for b in loaded]
-    seconds["classify"] = time.process_time() - start
+        start = time.process_time()
+        classes = [classify(b) for b in loaded]
+        seconds["classify"] = time.process_time() - start
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            start = time.process_time()
+            code = cli_main(["verify", str(path)])
+            seconds["verify"] = time.process_time() - start
 
     if loaded != stream or not all(c.admissible and c.range >= MIN_RANGE for c in classes):
         raise SystemExit("error: the loaded stream differs from the stored one, or misclassifies")
+    if code != 0:
+        raise SystemExit(f"error: verify of the stored entry exited {code}")
     return seconds
 
 
