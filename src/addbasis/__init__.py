@@ -13,7 +13,7 @@ from .core import (  # noqa: E402,F401
     mirror,
     parse_basis,
 )
-from .enumeration import EnumSpec, enumerate_admissible  # noqa: E402,F401
+from .enumeration import EnumSpec, Workers, enumerate_admissible  # noqa: E402,F401
 from .mitm import (  # noqa: E402,F401
     SearchReport,
     SearchTarget,

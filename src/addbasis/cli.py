@@ -31,7 +31,7 @@ from .catalog import (
     render_report,
 )
 from .core import atomic_write, classify, format_basis, read_bases, write_bases
-from .enumeration import EnumSpec, enumerate_admissible
+from .enumeration import EnumSpec, Workers, enumerate_admissible
 from .mitm import SearchTarget, find_extremal_restricted, search_restricted
 from .oracle import DEFAULT_LIMIT, brute_force, format_result
 
@@ -66,17 +66,19 @@ def _cache_from(args) -> PrefixCache | None:
 
 def cmd_search(args, out: IO[str]) -> int:
     target = SearchTarget.create(args.k, args.n, args.pivot)
-    report = search_restricted(
-        target,
-        processes=args.threads,
-        cache=_cache_from(args),
-        log=_log,
-    )
+    with Workers(args.threads) as workers:
+        report = search_restricted(
+            target,
+            workers=workers,
+            cache=_cache_from(args),
+            log=_log,
+        )
     out.write(render_report(report, args.format))
     return 0 if report.bases else 1
 
 
 def cmd_extremal(args, out: IO[str]) -> int:
+    # the descent opens the one Workers of the command
     report = find_extremal_restricted(
         args.k,
         args.pivot,
@@ -108,14 +110,26 @@ def cmd_extremal(args, out: IO[str]) -> int:
 
 def cmd_enumerate(args, out: IO[str]) -> int:
     spec = EnumSpec(args.k, args.min_range)
-    bases = enumerate_admissible(spec, processes=args.threads)
     header = {"k": spec.length, "min_range": spec.min_range, "version": __version__}
-    if args.format == "json":
-        collected = [list(b) for b in bases]
-        doc = {**header, "count": len(collected), "bases": collected}
-        out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    write_bases(out, header, _heartbeat(bases))
+    with Workers(args.threads) as workers:
+        bases = enumerate_admissible(spec, workers=workers)
+        if args.format == "text":
+            write_bases(out, header, _heartbeat(bases))
+            return 0
+        # `count` comes before `bases`, so the stream is held, but not a
+        # second copy of it as lists or as one document string
+        bases = list(bases)
+    templates: dict[int, str] = {}
+
+    def items():
+        for basis in bases:
+            n = len(basis)
+            template = templates.get(n)
+            if template is None:
+                template = templates[n] = _json_template(["%s"] * n, 2)
+            yield template % basis
+
+    _write_json_bases(out.write, {**header, "count": len(bases)}, items())
     return 0
 
 
@@ -140,23 +154,23 @@ def cmd_verify(args, out: IO[str]) -> int:
     # every read error comes before any output; then one basis at a time
     write = out.write
     if args.format == "json":
-        # the layout json.dumps(..., indent=2) gives the whole document;
-        # encode equals json.dumps(record, indent=2), one encoder for all
-        encode = json.JSONEncoder(indent=2).encode
-        write('{\n  "bases": [')
-        sep = "\n    "
-        for basis in bases:
-            cls = classify(basis)
-            record = {
-                "elements": list(basis),
-                "range": cls.range,
-                "admissible": cls.admissible,
-                "restricted": cls.restricted,
-                "symmetric": cls.symmetric,
-            }
-            write(sep + encode(record).replace("\n", "\n    "))
-            sep = ",\n    "
-        write("\n  ]\n}\n" if bases else "]\n}\n")
+        templates: dict[int, str] = {}
+        flag = {True: "true", False: "false"}
+
+        def records():
+            for basis in bases:
+                n = len(basis)
+                template = templates.get(n)
+                if template is None:
+                    record = {"elements": ["%s"] * n, "range": "%s",
+                              "admissible": "%s", "restricted": "%s", "symmetric": "%s"}
+                    template = templates[n] = _json_template(record, 2)
+                cls = classify(basis)
+                yield template % (
+                    *basis, cls.range, flag[cls.admissible], flag[cls.restricted], flag[cls.symmetric]
+                )
+
+        _write_json_bases(write, {}, records())
         return 0
     for basis in bases:
         cls = classify(basis)
@@ -168,6 +182,31 @@ def cmd_verify(args, out: IO[str]) -> int:
         ]
         write(format_basis(basis) + ": " + ", ".join(parts) + "\n")
     return 0
+
+
+def _json_template(value, depth: int) -> str:
+    """A `%` template of json.dumps(value, indent=2), with each "%s"
+    string in value made a bare `%s` field and each line after the first
+    indented by `depth` more levels, as the layout of json.dumps places
+    a value nested that deep."""
+    text = json.dumps(value, indent=2).replace('"%s"', "%s")
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _write_json_bases(write, header: dict, items) -> None:
+    """Write json.dumps({**header, "bases": [...]}, indent=2) + "\n" one
+    item at a time; each item is an element of "bases" already laid out
+    two levels deep."""
+    write("{\n")
+    for key, value in header.items():
+        write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
+    write('  "bases": [')
+    sep = "\n    "
+    for item in items:
+        write(sep + item)
+        sep = ",\n    "
+    # json.dumps writes an empty list as [], a full one closes on its own line
+    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
 
 def cmd_oracle(args, out: IO[str]) -> int:

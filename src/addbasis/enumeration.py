@@ -29,13 +29,21 @@ The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
 partials of a given depth) and distributed over processes; results are
 merged back in lexicographic order.
+
+The processes come from one `Workers` per search: the n2* descent
+enumerates one or two streams per level, and starting and stopping a
+pool for each cost about 16 ms of wall time per stream on a 2-core
+machine, so a search opens one `Workers` and passes it to every stream.  It starts its pool on the first parallel map, not
+when it is opened, so a search whose streams all come from a cache, or
+are given, forks no process; the pool is closed when the `with` block
+ends, also on an exception.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Basis, as_basis, basis_range, sumset_bits
 
@@ -210,6 +218,45 @@ def _nodes_two_short(
         depth += 1
 
 
+# a stream is split into at least this many stems per worker: enough
+# for the greedy placement to balance, few enough that shipping the
+# jobs costs the parent little
+STEMS_PER_WORKER = 8
+
+
+class Workers:
+    """The process pool of one search, started on first use.
+
+    Use it as a context manager: the pool is started by the first `imap`
+    and closed, through the pool's own `__exit__`, when the `with` block
+    ends, also on an exception or KeyboardInterrupt.  With processes <= 1
+    no pool is ever started and `imap` maps in this process.
+    """
+
+    def __init__(self, processes: int = 1) -> None:
+        self.processes = processes
+        self._pool = None
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc):
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            return pool.__exit__(*exc)
+        return None
+
+    def imap(self, func, jobs: Iterable) -> Iterator:
+        """func over jobs, one job per task, results in job order."""
+        if self.processes <= 1:
+            return map(func, jobs)
+        if self._pool is None:
+            # looked up at call time, so that a wrapper on the module
+            # attribute sees every pool
+            self._pool = multiprocessing.Pool(self.processes)
+        return self._pool.imap(func, jobs, chunksize=1)
+
+
 def _collect(args: tuple[int, int, Basis, bool]) -> list[Basis]:
     length, min_range, stem, prune = args
     return list(_iter_admissible(length, min_range, stem, prune))
@@ -223,26 +270,28 @@ def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
     return list(_iter_admissible(depth, 0, tuple(below), False))
 
 
-def enumerate_admissible(spec: EnumSpec, *, prune: bool = True, processes: int = 1) -> Iterator[Basis]:
+def enumerate_admissible(
+    spec: EnumSpec, *, prune: bool = True, workers: Workers | None = None
+) -> Iterator[Basis]:
     """Yield every admissible basis of spec.length with range >= spec.min_range,
     in lexicographic order.
 
     prune=False disables both the counting cut and the exact last-element
-    step (same stream, more work).  With processes > 1 the stem partitions
-    run in a process pool and their results merge back in order.
+    step (same stream, more work).  With `workers` of more than one
+    process, the stem partitions run in its pool and their results merge
+    back in order; without, the stream is enumerated in this process.
     """
     stem = spec.stem
     depth = max(len(stem) - 1, 2)
-    if processes <= 1 or depth >= spec.length:
+    if workers is None or workers.processes <= 1 or depth >= spec.length:
         yield from _iter_admissible(spec.length, spec.min_range, stem, prune)
         return
     # deepen the stems below spec.stem one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level
     parts = stems(depth, stem)
-    while depth < spec.length - 1 and len(parts) < 32 * processes:
+    while depth < spec.length - 1 and len(parts) < STEMS_PER_WORKER * workers.processes:
         depth += 1
         parts = [s for part in parts for s in stems(depth, part)]
     jobs = [(spec.length, spec.min_range, part, prune) for part in parts]
-    with multiprocessing.Pool(processes) as pool:
-        for chunk in pool.imap(_collect, jobs, chunksize=1):
-            yield from chunk
+    for chunk in workers.imap(_collect, jobs):
+        yield from chunk

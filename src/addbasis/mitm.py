@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
 from .core import Basis, BasisClass, classify, mirror, sumset_bits
-from .enumeration import EnumSpec, enumerate_admissible
+from .enumeration import EnumSpec, Workers, enumerate_admissible
 
 Log = Callable[[str], None]
 
@@ -220,7 +220,7 @@ def search_restricted(
     *,
     prefixes: Sequence[Basis] | None = None,
     suffixes: Sequence[Basis] | None = None,
-    processes: int = 1,
+    workers: Workers | None = None,
     cache: PrefixCache | None = None,
     log: Log | None = None,
 ) -> SearchReport:
@@ -229,8 +229,8 @@ def search_restricted(
     The two streams are enumerated on demand (consulting / feeding the
     cache when one is given); pass prefixes/suffixes explicitly to seed
     from a prior run.  When the pivot splits evenly the prefix stream is
-    reused as the suffix stream.  `processes` spreads the enumeration of
-    the streams over a process pool; the pair scan runs in this process.
+    reused as the suffix stream.  `workers` spreads the enumeration of
+    the streams over its process pool; the pair scan runs in this process.
     """
     t0 = time.perf_counter()
     i, j = target.pivot, target.suffix_length
@@ -244,7 +244,7 @@ def search_restricted(
                     log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
                 return hit
         spec = EnumSpec(length, min_range)
-        bases = list(enumerate_admissible(spec, processes=processes))
+        bases = list(enumerate_admissible(spec, workers=workers))
         if cache is not None:
             cache.store(length, min_range, bases)
         return bases
@@ -307,23 +307,25 @@ def find_extremal_restricted(
 
     Walks even n downward from upper_bound_restricted(k); the first
     non-empty level is extremal.  Levels whose stream constraints are
-    impossible by the catalog are skipped without enumeration.
+    impossible by the catalog are skipped without enumeration.  With
+    processes > 1 every level enumerates in the pool of one `Workers`.
     """
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
     bound = upper_bound_restricted(k, table)
-    for n in range(bound - bound % 2, 1, -2):
-        target = SearchTarget.create(k, n, pivot, table)
-        if _certainly_empty(target, table):
-            if log:
-                log(f"k={k} n={n}: infeasible stream constraints, skipped")
-            continue
-        report = search_restricted(
-            target,
-            processes=processes,
-            cache=cache,
-            log=log,
-        )
-        if report.bases:
-            return report
+    with Workers(processes) as workers:
+        for n in range(bound - bound % 2, 1, -2):
+            target = SearchTarget.create(k, n, pivot, table)
+            if _certainly_empty(target, table):
+                if log:
+                    log(f"k={k} n={n}: infeasible stream constraints, skipped")
+                continue
+            report = search_restricted(
+                target,
+                workers=workers,
+                cache=cache,
+                log=log,
+            )
+            if report.bases:
+                return report
     raise RuntimeError(f"no restricted basis of length {k} found above range 2")

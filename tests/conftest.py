@@ -6,6 +6,7 @@ Criteria marked `long` are deselected by default (see pyproject.toml) and
 show up as NOT RUN.
 """
 
+import multiprocessing
 import re
 
 import pytest
@@ -61,3 +62,20 @@ def unrestricted_fixtures():
     from addbasis.catalog import unrestricted_extremal_fixtures
 
     return unrestricted_extremal_fixtures()
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The process pools started while the test runs, in order: a
+    counting wrapper on multiprocessing.Pool, the one name the program
+    starts its pools through."""
+    started = []
+    real = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        started.append(pool)
+        return pool
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return started

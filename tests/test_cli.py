@@ -13,7 +13,7 @@ import pytest
 import addbasis
 from addbasis import __version__
 from addbasis.catalog import PrefixCache
-from addbasis.cli import main
+from addbasis.cli import _json_template, main
 from addbasis.core import parse_basis, read_bases, write_bases
 from addbasis.enumeration import EnumSpec, enumerate_admissible
 
@@ -258,6 +258,29 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "-k", "0")
         assert code == 2 and "error" in err
 
+    def test_empty_json_document(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "-k", "3", "--min-range", "99", "--format", "json")
+        assert code == 0
+        assert out == pinned({"k": 3, "min_range": 99, "version": __version__, "count": 0,
+                              "bases": []})
+
+
+# one command of each kind that enumerates streams, with --threads 2
+POOLED_COMMANDS = {
+    "search": ("search", "-k", "12", "-n", "64"),
+    "extremal": ("extremal", "-k", "12"),
+    "enumerate": ("enumerate", "-k", "8", "--min-range", "20"),
+}
+
+
+@pytest.mark.parametrize("argv", POOLED_COMMANDS.values(), ids=POOLED_COMMANDS)
+def test_one_pool_per_command(capsys, started_pools, argv):
+    _, serial, _ = run(capsys, *argv, "--threads", "1")
+    assert started_pools == []
+    _, threaded, _ = run(capsys, *argv, "--threads", "2")
+    assert len(started_pools) == 1
+    assert threaded == serial
+
 
 class TestVerify:
     def test_classifies_lines(self, capsys, tmp_path):
@@ -429,6 +452,13 @@ PINNED_VERIFY = {
     "empty-text": ("", "text", ""),
     "empty-json": ("", "json", '{\n  "bases": []\n}\n'),
     "one-text": ("0 1 3 4\n", "text", "0 1 3 4: range 8, admissible, restricted, symmetric\n"),
+    "single-element-json": (
+        "0\n",
+        "json",
+        '{\n  "bases": [\n    {\n      "elements": [\n        0\n      ],\n      "range": 0,\n'
+        '      "admissible": true,\n      "restricted": true,\n      "symmetric": true\n    }\n'
+        '  ]\n}\n',
+    ),
     "one-json": (
         "0 1 3 4\n",
         "json",
@@ -483,3 +513,39 @@ def test_verify_streams_its_output(tmp_path, monkeypatch):
     read_peak = peak(read)
     verify_peak = peak(lambda: main(["verify", str(path), "--format", "json"]))
     assert verify_peak < 3 * read_peak
+
+
+@pytest.mark.parametrize("n", range(1, 43))
+def test_json_template_matches_json_dumps(n):
+    # a basis list sits two levels deep in `enumerate`, three in a
+    # `verify` record, and the record itself two levels deep
+    basis = tuple(range(0, 7 * n, 7))
+    for depth in (2, 3):
+        expected = json.dumps(list(basis), indent=2).replace("\n", "\n" + "  " * depth)
+        assert _json_template(["%s"] * n, depth) % basis == expected
+    record = {"elements": list(basis), "range": 12 * n,
+              "admissible": True, "restricted": False, "symmetric": n % 2 == 0}
+    fields = dict.fromkeys(record, "%s") | {"elements": ["%s"] * n}
+    values = (*basis, *(json.dumps(record[key]) for key in list(record)[1:]))
+    expected = json.dumps(record, indent=2).replace("\n", "\n    ")
+    assert _json_template(fields, 2) % values == expected
+
+
+def test_enumerate_json_streams_its_output(monkeypatch):
+    # enumerate --format json holds the stream's tuples, as `count` comes
+    # first, but neither lists of the bases nor the document string
+    spec = EnumSpec(9, 24)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stream_peak = peak(lambda: list(enumerate_admissible(spec)))
+    monkeypatch.setattr("sys.stdout", _Sink())
+    argv = ["enumerate", "-k", "9", "--min-range", "24", "--format", "json", "--threads", "1"]
+    json_peak = peak(lambda: main(argv))
+    assert json_peak < 2 * stream_peak

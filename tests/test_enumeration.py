@@ -1,5 +1,6 @@
 """Tests for the admissible-basis enumerator."""
 
+import multiprocessing
 from functools import cache
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
 from addbasis.core import atomic_write, basis_range, read_bases, sumset_bits, write_bases
-from addbasis.enumeration import EnumSpec, enumerate_admissible, stems
+from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible, stems
 from addbasis.oracle import all_admissible
 
 bases = st.lists(
@@ -227,12 +228,56 @@ class TestEnumerate:
         # the partition is built below the spec's own stem
         spec = EnumSpec(7, 16, (0, 1, 2))
         serial = list(enumerate_admissible(spec))
-        parallel = list(enumerate_admissible(spec, processes=2))
+        with Workers(2) as workers:
+            parallel = list(enumerate_admissible(spec, workers=workers))
         assert parallel == serial
 
     def test_parallel_auto_depth(self):
         spec = EnumSpec(6, 12)
-        assert list(enumerate_admissible(spec, processes=2)) == list(enumerate_admissible(spec))
+        with Workers(2) as workers:
+            parallel = list(enumerate_admissible(spec, workers=workers))
+        assert parallel == list(enumerate_admissible(spec))
+
+    def test_streams_share_one_pool(self, started_pools):
+        specs = [EnumSpec(6, 12), EnumSpec(7, 16, (0, 1, 2)), EnumSpec(8)]
+        with Workers(2) as workers:
+            parallel = [list(enumerate_admissible(s, workers=workers)) for s in specs]
+            assert len(multiprocessing.active_children()) == 2
+        assert parallel == [list(enumerate_admissible(s)) for s in specs]
+        assert len(started_pools) == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkers:
+    def test_no_pool_until_a_parallel_map(self, started_pools):
+        with Workers(2):
+            pass
+        with Workers(2) as workers:
+            # a stream too short to split runs in this process
+            assert list(enumerate_admissible(EnumSpec(2), workers=workers)) == [
+                (0, 1, 2), (0, 1, 3)
+            ]
+        assert started_pools == []
+
+    def test_one_process_maps_in_order_without_a_pool(self, started_pools):
+        with Workers(1) as workers:
+            assert list(workers.imap(abs, [-3, 1, -2])) == [3, 1, 2]
+            assert list(enumerate_admissible(EnumSpec(8), workers=workers)) == list(
+                enumerate_admissible(EnumSpec(8))
+            )
+        assert started_pools == []
+
+    def test_imap_keeps_job_order(self):
+        with Workers(2) as workers:
+            assert list(workers.imap(abs, range(0, -40, -1))) == list(range(40))
+
+    def test_pool_closes_on_an_exception(self, started_pools):
+        with pytest.raises(KeyboardInterrupt):
+            with Workers(2) as workers:
+                next(enumerate_admissible(EnumSpec(8), workers=workers))
+                raise KeyboardInterrupt
+        assert len(started_pools) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestCount:
@@ -248,8 +293,9 @@ class TestCount:
         assert sum(1 for _ in enumerate_admissible(EnumSpec(k))) == len(oracle_stream(k))
 
     def test_parallel_count(self):
-        stream = enumerate_admissible(EnumSpec(8), processes=2)
-        assert sum(1 for _ in stream) == ADMISSIBLE_COUNTS[8]
+        with Workers(2) as workers:
+            stream = enumerate_admissible(EnumSpec(8), workers=workers)
+            assert sum(1 for _ in stream) == ADMISSIBLE_COUNTS[8]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the meet-in-the-middle search."""
 
+import multiprocessing
 from functools import cache
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT, CatalogMissingError, PrefixCache
 from addbasis.core import basis_range, classify, mirror
-from addbasis.enumeration import EnumSpec, enumerate_admissible
+from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible
 from addbasis.mitm import (
     SearchReport,
     SearchTarget,
@@ -226,11 +227,12 @@ class TestSearch:
             assert report.bases == default.bases, f"pivot {pivot}"
 
     def test_parallel_equals_serial(self):
-        # processes=2 enumerates both streams in a process pool; the pair
+        # 2 workers enumerate both streams in a process pool; the pair
         # scan runs in this process either way
         target = SearchTarget.create(10, 44)
         serial = search_restricted(target)
-        parallel = search_restricted(target, processes=2)
+        with Workers(2) as workers:
+            parallel = search_restricted(target, workers=workers)
         assert parallel == serial
 
     def test_prune_off_equals_on(self):
@@ -319,6 +321,64 @@ class TestFindExtremal:
         # n2(7) = 26 once n is large enough
         assert _certainly_empty(SearchTarget.create(9, 80, 1), DEFAULT)
         assert not _certainly_empty(SearchTarget.create(9, 40, 1), DEFAULT)
+
+
+class TestOnePool:
+    """At most one process pool per search, started only when a stream
+    is enumerated, and gone when the search ends."""
+
+    # the extremal level of k = 12: a length-6 prefix stream and a
+    # different length-5 suffix stream
+    TARGET = SearchTarget.create(12, 64)
+
+    def test_descent_starts_one_pool(self, started_pools):
+        # 3 levels, 6 streams, all enumerated in the one pool
+        find_extremal_restricted(12, processes=2)
+        assert len(started_pools) == 1
+
+    def test_serial_descent_starts_none(self, started_pools):
+        find_extremal_restricted(12, processes=1)
+        assert started_pools == []
+
+    def test_level_starts_one_pool(self, started_pools):
+        assert self.TARGET.pivot != self.TARGET.suffix_length
+        with Workers(2) as workers:
+            search_restricted(self.TARGET, workers=workers)
+        assert len(started_pools) == 1
+
+    def test_cached_level_starts_none(self, started_pools, tmp_path):
+        target = self.TARGET
+        cache = PrefixCache(tmp_path)
+        for length, min_range in (
+            (target.pivot, target.prefix_min_range),
+            (target.suffix_length, target.suffix_min_range),
+        ):
+            cache.store(length, min_range, enumerate_admissible(EnumSpec(length, min_range)))
+        with Workers(2) as workers:
+            report = search_restricted(target, workers=workers, cache=cache)
+        assert started_pools == []
+        assert report == search_restricted(target)
+
+    def test_interrupted_descent_leaves_no_worker(self, started_pools):
+        class Stop(Exception):
+            pass
+
+        levels = []
+
+        def log(message):
+            if "prefixes" in message:
+                levels.append(message)
+                if len(levels) == 2:
+                    raise Stop
+
+        with pytest.raises(Stop):
+            find_extremal_restricted(12, processes=2, log=log)
+        assert len(started_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("k", range(8, 15))
+    def test_parallel_descent_equals_serial(self, k):
+        assert find_extremal_restricted(k, processes=2) == find_extremal_restricted(k)
 
 
 class TestReportShape:
