@@ -119,17 +119,9 @@ def cmd_enumerate(args, out: IO[str]) -> int:
         # `count` comes before `bases`, so the stream is held, but not a
         # second copy of it as lists or as one document string
         bases = list(bases)
-    templates: dict[int, str] = {}
-
-    def items():
-        for basis in bases:
-            n = len(basis)
-            template = templates.get(n)
-            if template is None:
-                template = templates[n] = _json_template(["%s"] * n, 2)
-            yield template % basis
-
-    _write_json_bases(out.write, {**header, "count": len(bases)}, items())
+    # every basis of the stream has spec.length + 1 elements
+    template = _json_template(["%s"] * (spec.length + 1), 2)
+    _write_json_bases(out.write, {**header, "count": len(bases)}, (template % b for b in bases))
     return 0
 
 

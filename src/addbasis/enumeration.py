@@ -31,12 +31,20 @@ partials of a given depth) and distributed over processes; results are
 merged back in lexicographic order.
 
 The processes come from one `Workers` per search: the n2* descent
-enumerates one or two streams per level, and starting and stopping a
-pool for each cost about 16 ms of wall time per stream on a 2-core
-machine, so a search opens one `Workers` and passes it to every stream.  It starts its pool on the first parallel map, not
-when it is opened, so a search whose streams all come from a cache, or
-are given, forks no process; the pool is closed when the `with` block
-ends, also on an exception.
+enumerates one or two streams per level, and a pool per stream cost the
+k = 22 descent 0.16 s of wall time on a 2-core machine for its 10 pools
+(0.11 s to start them, 0.05 s to stop them; BENCH_11.json), so a search
+opens one `Workers` and passes it to every stream.  It starts its pool
+on the first parallel map, not when it is opened, so a search whose
+streams all come from a cache, or are given, forks no process; the pool
+is closed when the `with` block ends, also on an exception.
+
+A parallel stream is split into stems one level at a time.  Each job
+ships a stem to a worker and its bases back, which costs the parent up
+to about a millisecond of CPU, while the largest job left at the end
+decides how evenly the workers finish.  Stems with at most `SHALLOW_LEVELS` levels
+below them make small jobs, so `SHALLOW_STEMS_PER_WORKER` of them per
+worker balance; deeper stems need `STEMS_PER_WORKER`.
 """
 
 from __future__ import annotations
@@ -218,10 +226,13 @@ def _nodes_two_short(
         depth += 1
 
 
-# a stream is split into at least this many stems per worker: enough
-# for the greedy placement to balance, few enough that shipping the
-# jobs costs the parent little
-STEMS_PER_WORKER = 8
+# a stream is split into at least this many stems per worker ...
+STEMS_PER_WORKER = 32
+# ... or this many, once at most SHALLOW_LEVELS levels lie below each
+# stem: the length-10 and 11 streams of the k = 22 descent then send 17
+# jobs to 2 workers, not 65, and the (12, 56) stream keeps its 65
+SHALLOW_STEMS_PER_WORKER = 8
+SHALLOW_LEVELS = 7
 
 
 class Workers:
@@ -229,8 +240,9 @@ class Workers:
 
     Use it as a context manager: the pool is started by the first `imap`
     and closed, through the pool's own `__exit__`, when the `with` block
-    ends, also on an exception or KeyboardInterrupt.  With processes <= 1
-    no pool is ever started and `imap` maps in this process.
+    ends, also on an exception or KeyboardInterrupt.  Callers map in
+    their own process when processes <= 1, so such a `Workers` never
+    starts a pool.
     """
 
     def __init__(self, processes: int = 1) -> None:
@@ -247,9 +259,8 @@ class Workers:
         return None
 
     def imap(self, func, jobs: Iterable) -> Iterator:
-        """func over jobs, one job per task, results in job order."""
-        if self.processes <= 1:
-            return map(func, jobs)
+        """func over jobs in the pool, one job per task, results in job
+        order."""
         if self._pool is None:
             # looked up at call time, so that a wrapper on the module
             # attribute sees every pool
@@ -289,7 +300,11 @@ def enumerate_admissible(
     # deepen the stems below spec.stem one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level
     parts = stems(depth, stem)
-    while depth < spec.length - 1 and len(parts) < STEMS_PER_WORKER * workers.processes:
+    while depth < spec.length - 1:
+        shallow = spec.length - depth <= SHALLOW_LEVELS
+        per_worker = SHALLOW_STEMS_PER_WORKER if shallow else STEMS_PER_WORKER
+        if len(parts) >= per_worker * workers.processes:
+            break
         depth += 1
         parts = [s for part in parts for s in stems(depth, part)]
     jobs = [(spec.length, spec.min_range, part, prune) for part in parts]

@@ -32,6 +32,14 @@ def blocked_dir(tmp_path):
 
 
 @pytest.fixture
+def two_cores(monkeypatch):
+    """At least 2 cores as `--threads` counts them, so that `--threads 2`
+    is accepted on any host; 2 pool workers run on one core as well."""
+    cores = max(os.cpu_count() or 1, 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+
+@pytest.fixture
 def bases_file(tmp_path):
     """A two-line file of bases for `verify`, named by `{bases}` in an argv."""
     path = tmp_path / "bases.txt"
@@ -182,8 +190,9 @@ class TestExtremal:
         _, second, _ = run(capsys, "extremal", "-k", "6")
         assert first == second
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "extremal", "-k", "7", "--threads", "1")
+    def test_threads_do_not_change_output(self, capsys, two_cores):
+        code, serial, _ = run(capsys, "extremal", "-k", "7", "--threads", "1")
+        assert code == 0 and "n2*(7)" in serial
         _, threaded, _ = run(capsys, "extremal", "-k", "7", "--threads", "2")
         assert serial == threaded
 
@@ -274,8 +283,9 @@ POOLED_COMMANDS = {
 
 
 @pytest.mark.parametrize("argv", POOLED_COMMANDS.values(), ids=POOLED_COMMANDS)
-def test_one_pool_per_command(capsys, started_pools, argv):
-    _, serial, _ = run(capsys, *argv, "--threads", "1")
+def test_one_pool_per_command(capsys, started_pools, two_cores, argv):
+    code, serial, _ = run(capsys, *argv, "--threads", "1")
+    assert code == 0 and serial
     assert started_pools == []
     _, threaded, _ = run(capsys, *argv, "--threads", "2")
     assert len(started_pools) == 1

@@ -259,13 +259,27 @@ class TestWorkers:
             ]
         assert started_pools == []
 
-    def test_one_process_maps_in_order_without_a_pool(self, started_pools):
+    def test_one_process_starts_no_pool(self, started_pools):
         with Workers(1) as workers:
-            assert list(workers.imap(abs, [-3, 1, -2])) == [3, 1, 2]
             assert list(enumerate_admissible(EnumSpec(8), workers=workers)) == list(
                 enumerate_admissible(EnumSpec(8))
             )
         assert started_pools == []
+
+    @pytest.mark.parametrize("length,min_range,jobs", [(10, 42, 17), (11, 50, 17), (12, 56, 65), (13, 60, 65)])
+    def test_split_by_levels_below_the_stems(self, length, min_range, jobs):
+        # 2 workers: the length-10 and 11 streams stop at 17 stems, 7 or
+        # fewer levels above their leaves; longer ones go on to 65
+        sent = []
+
+        def counting_imap(func, items):
+            sent.extend(items)
+            return iter(())
+
+        with Workers(2) as workers:
+            workers.imap = counting_imap
+            assert list(enumerate_admissible(EnumSpec(length, min_range), workers=workers)) == []
+        assert len(sent) == jobs
 
     def test_imap_keeps_job_order(self):
         with Workers(2) as workers:
