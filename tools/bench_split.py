@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.json:
         print(f"{'stream':>9} {'split':>5} {'jobs':>5} {'wall_s':>7} {'parent_cpu_s':>12} rule")
-    for (spec, per_worker), samples in sorted(runs.items(), key=lambda kv: (kv[0][0].length, kv[0][1])):
+    for (spec, per_worker), samples in sorted(runs.items(), key=lambda kv: (kv[0][0].length, kv[0][0].min_range, kv[0][1])):
         row = {"length": spec.length, "min_range": spec.min_range, "stems_per_worker": per_worker,
                "jobs": jobs[spec, per_worker], "rule_picks": jobs[spec, per_worker] == shipped[spec]}
         for key in ("wall_s", "parent_cpu_s"):
