@@ -112,9 +112,9 @@ def cmd_enumerate(args, out: IO[str]) -> int:
     spec = EnumSpec(args.k, args.min_range)
     header = {"k": spec.length, "min_range": spec.min_range, "version": __version__}
     with Workers(args.threads) as workers:
-        bases = enumerate_admissible(spec, workers=workers)
+        bases = _heartbeat(enumerate_admissible(spec, workers=workers))
         if args.format == "text":
-            write_bases(out, header, _heartbeat(bases))
+            write_bases(out, header, bases)
             return 0
         # `count` comes before `bases`, so the stream is held, but not a
         # second copy of it as lists or as one document string

@@ -37,7 +37,8 @@ Basis = tuple[int, ...]
 # Coverage vectors are dense: a basis with top element a_k allocates
 # 2*a_k + 1 bits.  Nothing in range overflows in Python, but an absurd
 # element would silently try to allocate a gigantic vector, so reject it
-# loudly instead.
+# loudly instead.  A range target becomes a vector of that many bits too,
+# and no basis under this bound has a range above 2 * MAX_ELEMENT.
 MAX_ELEMENT = 1 << 22
 
 

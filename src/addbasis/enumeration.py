@@ -25,6 +25,14 @@ the full coverage check, and a P without a hole in [0, T] keeps every y.
 The step drops only final elements that leave g or h uncovered, so it is
 exact.
 
+One loop walks the tree, over a stack of nodes that each carry their
+elements, element mask, sum coverage and the interval of their next
+elements.  It starts at the parent of the stem, with the stem's last
+element as the only child, so a stem of any depth enters the walk as one
+more node.  The last two levels are unrolled at the nodes two elements
+short of a leaf, where most of the work lies: their next elements are
+tried in place, and the final element comes from the exact step.
+
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
 partials of a given depth) and distributed over processes; results are
@@ -53,7 +61,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Basis, as_basis, basis_range, sumset_bits
+from .core import MAX_ELEMENT, Basis, as_basis, basis_range, sumset_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +77,12 @@ class EnumSpec:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.min_range < 0:
-            raise ValueError(f"min_range must be >= 0, got {self.min_range}")
+        # no basis with elements up to MAX_ELEMENT has a larger range
+        if not 0 <= self.min_range <= 2 * MAX_ELEMENT:
+            raise ValueError(
+                f"min_range must be between 0 and {2 * MAX_ELEMENT} (twice the "
+                f"supported maximum element), got {self.min_range}"
+            )
         if self.first_elements is not None:
             stem = as_basis(self.first_elements)
             if len(stem) > self.length + 1:
@@ -100,17 +112,19 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     """DFS core: every admissible extension of `stem` to `length`, with
     range >= min_range, in lexicographic order.
 
-    `_nodes_two_short` walks the tree down to the nodes two elements short
-    of a leaf, and the last two levels are unrolled here.  For each such
-    node the loop runs over the next element x in [last + 1, first gap],
-    applies the counting cut to the node one short, and, with prune=True,
-    keeps only the final elements y that the exact step of the module
-    docstring allows.  `rev` has bit x - a set for each element a, so bit y
-    of `rev << (g - x)` is set exactly when g - y is an element, and bit y
-    of `rev << (h - x)` exactly when h - y is one; the `half` bit adds
-    y = h/2.  prune=False, or a node without a hole in [0, min_range],
-    keeps every y in [x + 1, g], and every kept y gets the full coverage
-    check.  A stem one short is finished as the only child x of its parent.
+    A node is (elements, mask, coverage, rev, lo, hi): its children are
+    the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
+    each element a.  The root is the stem's parent, with hi capped at its
+    first gap, so an inadmissible stem from `stems` has no children.  Every
+    child gets the counting cut from `need`, all zeros with prune=False; a
+    full-length stem only gets the leaf check.
+
+    The children x of a node two short are tried in place.  After
+    `rev <<= 1`, bit y of `rev << (g - x)` is set exactly when g - y is an
+    element, and bit y of `rev << (h - x)` exactly when h - y is one; the
+    `half` bit adds y = h/2.  prune=False, or a node without a hole in
+    [0, min_range], keeps every y in [x + 1, g], and every kept y gets the
+    full coverage check.
 
     The soundness property test pins both cuts against the oracle, and the
     prune on/off tests pin the exact step.
@@ -119,39 +133,44 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     tmask = (1 << (min_range + 1)) - 1
     # need[n] = sums still missing in [0, min_range] that the counting
     # bound cannot explain away for a node with n elements
-    need = []
-    for n in range(kp1 + 1):
-        m = kp1 - n
-        need.append(min_range + 1 - (m * n + m * (m + 1) // 2))
+    need = [0] * (kp1 + 1)
+    if prune:
+        for n in range(kp1 + 1):
+            m = kp1 - n
+            need[n] = min_range + 1 - (m * n + m * (m + 1) // 2)
 
-    elems = tuple(stem)
-    mask, cov = sumset_bits(elems)
-    n0 = len(elems)
-    if n0 == kp1:
-        if cov & tmask == tmask:
-            yield elems
+    if len(stem) == kp1:
+        if sumset_bits(stem)[1] & tmask == tmask:
+            yield tuple(stem)
         return
-    if prune and need[n0] > 0 and (cov & tmask).bit_count() < need[n0]:
-        return
-    if n0 == kp1 - 1:
-        *prefix, x = elems
-        if ((~cov) & (cov + 1)).bit_length() - 1 <= x:
-            return  # an inadmissible stem from `stems` has no extension
-        pmask, pcov = sumset_bits(prefix)
-        rev = sum(1 << (x - 1 - a) for a in prefix)
-        nodes = [(tuple(prefix), pmask, pcov, rev, x, x)]
-    else:
-        nodes = _nodes_two_short(kp1, tmask, need, prune, elems, mask, cov)
-
-    need1 = need[kp1 - 1] if prune else 0
-    for prefix, mask, cov, rev, lo, hi in nodes:
-        # rev holds bit (lo - 1) - a per element a of prefix
+    *parent, last = stem
+    mask, cov = sumset_bits(parent)
+    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
+    rev = sum(1 << (last - 1 - a) for a in parent)
+    nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
+    two_short = kp1 - 2
+    while nodes:
+        prefix, mask, cov, rev, lo, hi = nodes.pop()
+        need_child = need[len(prefix) + 1]
+        if len(prefix) != two_short:
+            children = []
+            for a in range(lo, hi + 1):
+                rev <<= 1
+                m2 = mask | (1 << a)
+                c2 = cov | (m2 << a)
+                if (c2 & tmask).bit_count() < need_child:
+                    continue
+                gap = ((~c2) & (c2 + 1)).bit_length() - 1
+                children.append((prefix + (a,), m2, c2, rev | 1, a + 1, gap))
+            # the smallest child is walked first
+            nodes.extend(reversed(children))
+            continue
         for x in range(lo, hi + 1):
             rev <<= 1
             m1 = mask | (1 << x)
             c1 = cov | (m1 << x)
             covered = c1 & tmask
-            if covered.bit_count() < need1:
+            if covered.bit_count() < need_child:
                 continue
             # g - x, with g the first gap
             width = (c1 ^ (c1 + 1)).bit_length() - 1 - x
@@ -169,61 +188,6 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
                 y = x + low.bit_length()
                 if (c1 | ((m1 | (1 << y)) << y)) & tmask == tmask:
                     yield prefix + (x, y)
-
-
-def _nodes_two_short(
-    kp1: int, tmask: int, need: list[int], prune: bool, elems: Basis, mask: int, cov: int
-) -> Iterator[tuple[Basis, int, int, int, int, int]]:
-    """The DFS above the last two levels: every node with kp1 - 2 elements
-    below the stem `elems` that survives the counting cut, in lexicographic
-    order, as (elements, element mask, coverage, rev, last + 1, first gap)
-    with bit last - a of rev set for each element a.
-
-    The node state lives on explicit stacks and is updated incrementally
-    per element."""
-    bottom = kp1 - 2
-    last = elems[-1]
-    rev = sum(1 << (last - a) for a in elems)
-    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
-    if len(elems) == bottom:
-        yield elems, mask, cov, rev, last + 1, first_gap
-        return
-
-    # explicit stacks; level d holds the node with n0 + d elements
-    path = list(elems)
-    n0 = len(path)
-    masks = [mask]
-    covs = [cov]
-    revs = [rev]
-    iters = [iter(range(last + 1, first_gap + 1))]
-    depth = 0
-    while depth >= 0:
-        a = next(iters[depth], None)
-        if a is None:
-            iters.pop()
-            masks.pop()
-            covs.pop()
-            revs.pop()
-            depth -= 1
-            if depth >= 0:
-                path.pop()
-            continue
-        n = n0 + depth + 1
-        m2 = masks[depth] | (1 << a)
-        c2 = covs[depth] | (m2 << a)
-        if prune and need[n] > 0 and (c2 & tmask).bit_count() < need[n]:
-            continue
-        r2 = (revs[depth] << (a - path[-1])) | 1
-        first_gap = ((~c2) & (c2 + 1)).bit_length() - 1
-        if n == bottom:
-            yield tuple(path) + (a,), m2, c2, r2, a + 1, first_gap
-            continue
-        path.append(a)
-        masks.append(m2)
-        covs.append(c2)
-        revs.append(r2)
-        iters.append(iter(range(a + 1, first_gap + 1)))
-        depth += 1
 
 
 # a stream is split into at least this many stems per worker ...
@@ -278,7 +242,13 @@ def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
     in lexicographic order.  These partition any deeper enumeration."""
     if depth < 1:
         raise ValueError(f"stem depth must be >= 1, got {depth}")
-    return list(_iter_admissible(depth, 0, tuple(below), False))
+    below = as_basis(below)
+    if len(below) > depth + 1:
+        raise ValueError(
+            f"stem {below} has {len(below)} elements but the depth "
+            f"{depth} allows at most {depth + 1}"
+        )
+    return list(_iter_admissible(depth, 0, below, False))
 
 
 def enumerate_admissible(

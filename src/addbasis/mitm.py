@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
-from .core import Basis, BasisClass, classify, mirror, sumset_bits
+from .core import MAX_ELEMENT, Basis, BasisClass, classify, mirror, sumset_bits
 from .enumeration import EnumSpec, Workers, enumerate_admissible
 
 Log = Callable[[str], None]
@@ -78,6 +78,11 @@ class SearchTarget:
             raise ValueError(f"meet-in-the-middle needs k >= 3, got {k}")
         if n < 0 or n % 2 != 0:
             raise ValueError(f"a restricted range is even and >= 0, got {n}")
+        # no basis with elements up to MAX_ELEMENT has a larger range
+        if n > 2 * MAX_ELEMENT:
+            raise ValueError(
+                f"n must be at most {2 * MAX_ELEMENT} (twice the supported maximum element), got {n}"
+            )
         if pivot is None:
             pivot = k // 2
         if not 0 < pivot < k - 1:

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import functools
 import json
 import os
 import random
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import addbasis
-from addbasis import __version__
+from addbasis import __version__, cli
 from addbasis.catalog import PrefixCache
 from addbasis.cli import _json_template, main
-from addbasis.core import parse_basis, read_bases, write_bases
+from addbasis.core import MAX_ELEMENT, parse_basis, read_bases, write_bases
 from addbasis.enumeration import EnumSpec, enumerate_admissible
 
 
@@ -85,6 +86,12 @@ class TestSearch:
         code, _, err = run(capsys, "search", "-k", "10", "-n", "45")
         assert code == 2
         assert "error" in err
+
+    def test_range_above_twice_max_element_is_usage_error(self, capsys):
+        # no basis with elements up to MAX_ELEMENT reaches such a range
+        code, out, err = run(capsys, "search", "-k", "5", "-n", str(2 * MAX_ELEMENT + 2))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(2 * MAX_ELEMENT) in err
 
     def test_bad_pivot_is_usage_error(self, capsys):
         code, _, err = run(capsys, "search", "-k", "10", "-n", "44", "--pivot", "9")
@@ -272,6 +279,24 @@ class TestEnumerate:
         assert code == 0
         assert out == pinned({"k": 3, "min_range": 99, "version": __version__, "count": 0,
                               "bases": []})
+
+    def test_min_range_above_twice_max_element_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-k", "3", "--min-range", str(2 * MAX_ELEMENT + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(2 * MAX_ELEMENT) in err
+
+    def test_min_range_at_twice_max_element_is_empty(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "-k", "3", "--min-range", str(2 * MAX_ELEMENT))
+        assert code == 0
+        assert out.splitlines()[-1] == "# count=0"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_progress_on_stderr(self, capsys, monkeypatch, fmt):
+        # 5 bases with a heartbeat every 2 bases: two progress lines
+        monkeypatch.setattr(cli, "_heartbeat", functools.partial(cli._heartbeat, every=2))
+        code, _, err = run(capsys, "enumerate", "-k", "3", "--format", fmt, "--threads", "1")
+        assert code == 0
+        assert err.splitlines() == ["... 2 bases", "... 4 bases"]
 
 
 # one command of each kind that enumerates streams, with --threads 2

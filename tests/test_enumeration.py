@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
-from addbasis.core import atomic_write, basis_range, read_bases, sumset_bits, write_bases
+from addbasis.core import MAX_ELEMENT, atomic_write, basis_range, read_bases, sumset_bits, write_bases
 from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible, stems
 from addbasis.oracle import all_admissible
 
@@ -62,6 +62,12 @@ class TestEnumSpec:
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError):
             EnumSpec(3, -1)
+
+    def test_rejects_range_above_twice_max_element(self):
+        # no basis with elements up to MAX_ELEMENT reaches such a range
+        with pytest.raises(ValueError, match=str(2 * MAX_ELEMENT)):
+            EnumSpec(3, 2 * MAX_ELEMENT + 1)
+        assert EnumSpec(3, 2 * MAX_ELEMENT).min_range == 2 * MAX_ELEMENT
 
     def test_accepts_valid_stem(self):
         spec = EnumSpec(5, 0, (0, 1, 3))
@@ -125,6 +131,13 @@ class TestNextCandidates:
 
     def test_empty_for_inadmissible_partial(self):
         assert self.candidates((0, 2)) == []
+
+    @pytest.mark.parametrize("node", [(0, 2), (0, 1, 2, 7), (0, 1, 3, 4, 12)])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_no_stems_below_an_inadmissible_node(self, node, extra):
+        # the walk starts at the node's parent, whose first gap is below
+        # the node's last element
+        assert stems(len(node) + extra, node) == []
 
     @given(bases)
     def test_candidates_keep_admissibility(self, basis):
@@ -210,7 +223,7 @@ class TestEnumerate:
         assert list(enumerate_admissible(EnumSpec(3, 8, basis))) == [basis]
         assert list(enumerate_admissible(EnumSpec(3, 9, basis))) == []
 
-    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
     def test_stem_partitions_are_complete_and_disjoint(self, depth):
         spec = EnumSpec(6, 12)
         whole = list(enumerate_admissible(spec))
@@ -223,6 +236,14 @@ class TestEnumerate:
     def test_stems_small(self):
         assert stems(1) == [(0, 1)]
         assert stems(2) == [(0, 1, 2), (0, 1, 3)]
+
+    def test_stems_reject_a_stem_deeper_than_the_depth(self):
+        with pytest.raises(ValueError, match=r"stem \(0, 1, 2\) .* depth 1"):
+            stems(1, (0, 1, 2))
+
+    def test_stems_reject_a_stem_that_is_not_a_basis(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            stems(3, (0, 2, 2))
 
     def test_parallel_equals_serial(self):
         # the partition is built below the spec's own stem
