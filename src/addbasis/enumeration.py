@@ -25,13 +25,32 @@ the full coverage check, and a P without a hole in [0, T] keeps every y.
 The step drops only final elements that leave g or h uncovered, so it is
 exact.
 
+Two more cuts act on x, the element before the final one y, at a node P
+two elements short of a leaf; Q = P + {x, y} is the finished basis and
+T the range target.
+
+The run bound.  No sum within P + {x} exceeds 2x, so if 2x < T every v
+in (2x, T] must be y + a with a in Q, and the T - 2x values v - y are
+consecutive elements of Q.  Both x and y exceed max P, so they can only
+lengthen P's top run, and Q's longest run is at most L + 2, L being P's
+longest run.  So 2x >= T - L - 2, and x starts at (T - L - 1) // 2.
+
+The in-range cap.  If 2x + 1 > T, then x + y and 2y exceed T, and
+y + a <= T needs a <= T - x - 1 < x.  So y covers at most as many values
+of [0, T] as P has elements in [0, T - x - 1], and an x that leaves more
+holes than that has no final element.
+
+Both cuts drop only an x that no y completes to range T, so they are
+exact too.
+
 One loop walks the tree, over a stack of nodes that each carry their
 elements, element mask, sum coverage and the interval of their next
 elements.  It starts at the parent of the stem, with the stem's last
 element as the only child, so a stem of any depth enters the walk as one
 more node.  The last two levels are unrolled at the nodes two elements
-short of a leaf, where most of the work lies: their next elements are
-tried in place, and the final element comes from the exact step.
+short of a leaf, where most of the work lies: their next elements x are
+tried in place, from the run bound on and under the in-range cap, and
+the final element comes from the exact step.
 
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
@@ -115,78 +134,110 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     A node is (elements, mask, coverage, rev, lo, hi): its children are
     the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
     each element a.  The root is the stem's parent, with hi capped at its
-    first gap, so an inadmissible stem from `stems` has no children.  Every
-    child gets the counting cut from `need`, all zeros with prune=False; a
-    full-length stem only gets the leaf check.
+    first gap, so an inadmissible stem from `stems` has no children, and
+    a full-length stem is yielded only if its last element is within that
+    gap and it reaches min_range.  Every child gets the counting cut: it
+    may leave at most `spare` holes in [0, min_range], which is
+    min_range + 1 with prune=False.
 
-    The children x of a node two short are tried in place.  After
-    `rev <<= 1`, bit y of `rev << (g - x)` is set exactly when g - y is an
-    element, and bit y of `rev << (h - x)` exactly when h - y is one; the
-    `half` bit adds y = h/2.  prune=False, or a node without a hole in
-    [0, min_range], keeps every y in [x + 1, g], and every kept y gets the
-    full coverage check.
+    The children x of a node two short are tried in place, with
+    T = min_range and `holes = tmask & ~c1`, the holes in [0, T] that x
+    leaves.
 
-    The soundness property test pins both cuts against the oracle, and the
-    prune on/off tests pin the exact step.
+    - The run bound: the loop starts at (T - L - 1) // 2, L being the
+      node's longest run, and shifts rev once for each x it skips.  L is
+      counted only when the bound can bind: L >= 1, so the start is at
+      most (T - 2) // 2.
+    - The in-range cap: from 2x >= T on, `rev >> (2x + 1 - T)` has one bit
+      for each element a <= T - x - 1, the only ones with y + a <= T, and
+      an x that leaves more holes than it has bits is skipped.
+    - The exact step: after `rev <<= 1`, bit y of `rev << (g - x)` is set
+      exactly when g - y is an element, and bit y of `rev << (h - x)`
+      exactly when h - y is one; the `half` bit adds y = h/2.  prune=False,
+      or an x without a hole left, keeps every y in [x + 1, g], and every
+      kept y must cover all of `holes`.
+
+    prune=False turns off all four cuts.  The soundness property test pins
+    them against the oracle, and the prune on/off tests pin the cuts on x
+    and the exact step.
     """
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
-    # need[n] = sums still missing in [0, min_range] that the counting
-    # bound cannot explain away for a node with n elements
-    need = [0] * (kp1 + 1)
+    # spare[n] = holes in [0, min_range] that the counting bound lets a
+    # node with n elements leave open
+    spare = [min_range + 1] * (kp1 + 1)
     if prune:
         for n in range(kp1 + 1):
             m = kp1 - n
-            need[n] = min_range + 1 - (m * n + m * (m + 1) // 2)
+            spare[n] = m * n + m * (m + 1) // 2
+    # the run bound can raise the start of an x loop only below this
+    # lo, and the in-range cap holds from this x on
+    run_below = (min_range - 2) // 2 if prune else -1
+    cap_from = (min_range + 1) // 2 if prune else float("inf")
 
-    if len(stem) == kp1:
-        if sumset_bits(stem)[1] & tmask == tmask:
-            yield tuple(stem)
-        return
     *parent, last = stem
     mask, cov = sumset_bits(parent)
     first_gap = ((~cov) & (cov + 1)).bit_length() - 1
+    if len(stem) == kp1:
+        c1 = cov | ((mask | (1 << last)) << last)
+        if last <= first_gap and c1 & tmask == tmask:
+            yield tuple(stem)
+        return
     rev = sum(1 << (last - 1 - a) for a in parent)
     nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
     two_short = kp1 - 2
     while nodes:
         prefix, mask, cov, rev, lo, hi = nodes.pop()
-        need_child = need[len(prefix) + 1]
+        spare_child = spare[len(prefix) + 1]
         if len(prefix) != two_short:
             children = []
             for a in range(lo, hi + 1):
                 rev <<= 1
                 m2 = mask | (1 << a)
                 c2 = cov | (m2 << a)
-                if (c2 & tmask).bit_count() < need_child:
+                if (tmask & ~c2).bit_count() > spare_child:
                     continue
                 gap = ((~c2) & (c2 + 1)).bit_length() - 1
                 children.append((prefix + (a,), m2, c2, rev | 1, a + 1, gap))
             # the smallest child is walked first
             nodes.extend(reversed(children))
             continue
+        if lo < run_below:
+            # run = the longest run of consecutive elements
+            run = 0
+            m = mask
+            while m:
+                m &= m >> 1
+                run += 1
+            start = (min_range - run - 1) // 2
+            if start > lo:
+                rev <<= start - lo
+                lo = start
         for x in range(lo, hi + 1):
             rev <<= 1
             m1 = mask | (1 << x)
             c1 = cov | (m1 << x)
-            covered = c1 & tmask
-            if covered.bit_count() < need_child:
+            holes = tmask & ~c1
+            count = holes.bit_count()
+            if count > spare_child:
                 continue
-            # g - x, with g the first gap
-            width = (c1 ^ (c1 + 1)).bit_length() - 1 - x
-            if prune and covered != tmask:
+            if x >= cap_from and count > (rev >> (2 * x + 1 - min_range)).bit_count():
+                continue
+            if prune and holes:
                 r1 = rev | 1
-                h = (tmask ^ covered).bit_length() - 1
+                g = (holes & -holes).bit_length() - 1
+                h = holes.bit_length() - 1
                 half = 0 if h & 1 else 1 << (h >> 1)
-                cand = ((r1 << width) & ((r1 << (h - x)) | half)) >> (x + 1)
+                cand = ((r1 << (g - x)) & ((r1 << (h - x)) | half)) >> (x + 1)
             else:
-                cand = (1 << width) - 1
+                # every y up to the first gap
+                cand = (1 << ((c1 ^ (c1 + 1)).bit_length() - 1 - x)) - 1
             # bit i of cand stands for y = x + 1 + i
             while cand:
                 low = cand & -cand
                 cand ^= low
                 y = x + low.bit_length()
-                if (c1 | ((m1 | (1 << y)) << y)) & tmask == tmask:
+                if holes & ((m1 | (1 << y)) << y) == holes:
                     yield prefix + (x, y)
 
 
@@ -257,8 +308,8 @@ def enumerate_admissible(
     """Yield every admissible basis of spec.length with range >= spec.min_range,
     in lexicographic order.
 
-    prune=False disables both the counting cut and the exact last-element
-    step (same stream, more work).  With `workers` of more than one
+    prune=False disables the counting cut, the run bound, the in-range cap
+    and the exact last-element step (same stream, more work).  With `workers` of more than one
     process, the stem partitions run in its pool and their results merge
     back in order; without, the stream is enumerated in this process.
     """

@@ -133,10 +133,11 @@ class TestNextCandidates:
         assert self.candidates((0, 2)) == []
 
     @pytest.mark.parametrize("node", [(0, 2), (0, 1, 2, 7), (0, 1, 3, 4, 12)])
-    @pytest.mark.parametrize("extra", [0, 1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3])
     def test_no_stems_below_an_inadmissible_node(self, node, extra):
         # the walk starts at the node's parent, whose first gap is below
-        # the node's last element
+        # the node's last element; at extra = -1 the node is full length
+        # and gets the same check
         assert stems(len(node) + extra, node) == []
 
     @given(bases)
@@ -187,11 +188,14 @@ class TestEnumerate:
         out = list(enumerate_admissible(EnumSpec(6, 14)))
         assert out == sorted(out)
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 10])
     def test_prune_does_not_change_the_stream(self, k):
-        # prune=False tries every final element, so this pins the exact
-        # last-element step as well as the counting cut
-        for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
+        # prune=False tries every x and every final element, so this pins
+        # the run bound, the in-range cap and the exact last-element step
+        # as well as the counting cut; from k = 10 on, where prune=False
+        # takes about 0.14 s per stream, only the thresholds near n2(k)
+        top = DEFAULT.known_unrestricted_range(k)
+        for threshold in range(top - 8 if k >= 10 else 0, top + 3):
             with_prune = list(enumerate_admissible(EnumSpec(k, threshold), prune=True))
             without = list(enumerate_admissible(EnumSpec(k, threshold), prune=False))
             assert with_prune == without, threshold

@@ -4,9 +4,11 @@ Each stream is one `enumerate_admissible(EnumSpec(length, min_range))`
 call, run serially and consumed in full inside the timed region.  Time is
 `time.process_time` (CPU seconds of this process), so the numbers do not
 count waiting for a shared machine.  The streams are the five that the
-k = 23 descent enumerates, (11, 54) down to (11, 50), plus (12, 56) and
-(10, 30).  Each stream is timed once per round; the median over rounds is
-reported together with the stream size and bases per second.
+k = 23 descent enumerates, (11, 54) down to (11, 50), plus (12, 56),
+(10, 30), (10, 40), which `search -k 21 -n 164` uses for both halves,
+and the k = 22 descent's final level, (11, 48) and (10, 42).  Each
+stream is timed once per round; the median over rounds is reported
+together with the stream size and bases per second.
 
 Run from the repository root:
     python tools/bench_dfs.py --rounds 5
@@ -29,7 +31,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from addbasis.enumeration import EnumSpec, enumerate_admissible  # noqa: E402
 
-STREAMS = ((11, 54), (11, 53), (11, 52), (11, 51), (11, 50), (12, 56), (10, 30))
+STREAMS = (
+    (11, 54), (11, 53), (11, 52), (11, 51), (11, 50),
+    (12, 56), (10, 30), (10, 40), (11, 48), (10, 42),
+)
 
 
 def time_stream(length: int, min_range: int) -> tuple[int, float]:
