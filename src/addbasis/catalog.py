@@ -12,7 +12,8 @@ by tools/transcribe_fixtures.py, which re-verifies every row), plus the
 two length-10 bases that attain the nonrestricted extremum.
 
 Also here: the text/JSON rendering of search reports, and a disk cache of
-enumerated prefix streams keyed by (length, min_range, tool version).
+enumerated prefix streams keyed by (length, min_range, floors, tool
+version).
 Reports are rendered, not persisted: the CLI writes the rendered document
 to stdout or --out, and it reads back with core.read_bases (text) or json.
 The cache reads and writes its entries through core (read_bases,
@@ -22,6 +23,7 @@ write_bases, atomic_write).
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import Basis, as_basis, atomic_write, format_basis, read_bases, write_bases
+from .core import Basis, as_basis, atomic_write, format_basis, reaches_floors, read_bases, write_bases
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mitm import SearchReport
@@ -156,36 +158,73 @@ def render_report(report: "SearchReport", fmt: str = "text") -> str:
 
 
 class PrefixCache:
-    """Disk cache of enumerated streams, keyed by (length, min_range, version).
+    """Disk cache of enumerated streams, keyed by (length, min_range, floors,
+    version).
 
     A hit returns exactly the list a fresh enumeration would produce; the
     stored header carries the enumeration key and the count line, last (or,
     in older entries, in the header), guards against truncation.  Entries
     are written atomically, so an interrupted store leaves no entry and the
     next load misses.  Stale versions simply miss.
+
+    A stream with floors (see EnumSpec) is a subset of the plain stream of
+    the same (length, min_range), so its entry carries the floors in a
+    header line and a digest of them in its file name: it never answers a
+    plain request or one with other floors.  A plain entry, such as an
+    `enumerate --out` file, answers a floored request once filtered by the
+    floors.
     """
 
     def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, length: int, min_range: int) -> Path:
-        return self.directory / f"prefixes-k{length}-r{min_range}-v{__version__}.txt"
+    def path_for(self, length: int, min_range: int, floors: Sequence[int] = ()) -> Path:
+        tag = f"-f{_digest(floors)}" if floors else ""
+        return self.directory / f"prefixes-k{length}-r{min_range}{tag}-v{__version__}.txt"
 
-    def load(self, length: int, min_range: int) -> list[Basis] | None:
-        path = self.path_for(length, min_range)
+    def load(self, length: int, min_range: int, floors: Sequence[int] = ()) -> list[Basis] | None:
+        bases = self._read(length, min_range, floors)
+        if bases is None and floors:
+            plain = self._read(length, min_range, ())
+            if plain is not None:
+                bases = [b for b in plain if reaches_floors(b, floors)]
+        return bases
+
+    def _read(self, length: int, min_range: int, floors: Sequence[int]) -> list[Basis] | None:
+        path = self.path_for(length, min_range, floors)
         if not path.exists():
             return None
         with open(path) as f:
             meta, bases = read_bases(f, str(path))
         if "count" not in meta:
             raise ValueError(f"{path}: no count line, so the entry is incomplete")
-        if meta.get("k") != str(length) or meta.get("min_range") != str(min_range):
+        if (
+            meta.get("k") != str(length)
+            or meta.get("min_range") != str(min_range)
+            or meta.get("floors") != (_floors_text(floors) if floors else None)
+        ):
             raise ValueError(f"{path}: header does not match its cache key")
         return bases
 
-    def store(self, length: int, min_range: int, bases: Iterable[Sequence[int]]) -> Path:
-        path = self.path_for(length, min_range)
+    def store(
+        self, length: int, min_range: int, bases: Iterable[Sequence[int]], floors: Sequence[int] = ()
+    ) -> Path:
+        path = self.path_for(length, min_range, floors)
+        header = {"k": length, "min_range": min_range}
+        if floors:
+            header["floors"] = _floors_text(floors)
+        header["version"] = __version__
         with atomic_write(path) as f:
-            write_bases(f, {"k": length, "min_range": min_range, "version": __version__}, bases)
+            write_bases(f, header, bases)
         return path
+
+
+def _floors_text(floors: Sequence[int]) -> str:
+    return ",".join(map(str, floors))
+
+
+def _digest(floors: Sequence[int]) -> str:
+    # CRC-32: zlib is loaded at start-up, while hashlib's OpenSSL adds
+    # ~3 MB resident to every run; a collision fails the header check
+    return f"{zlib.crc32(_floors_text(floors).encode()):08x}"

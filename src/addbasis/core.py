@@ -93,6 +93,19 @@ def basis_range(basis: Sequence[int]) -> int:
     return ((~bits) & (bits + 1)).bit_length() - 2
 
 
+def reaches_floors(basis: Sequence[int], floors: Sequence[int]) -> bool:
+    """True when each prefix of depth d (its first d + 1 elements), for
+    d = 1 up to len(floors) or the basis's own length, has range >=
+    floors[d - 1]."""
+    mask = bits = 0
+    for d, a in enumerate(basis[: len(floors) + 1]):
+        mask |= 1 << a
+        bits |= mask << a
+        if d and ((~bits) & (bits + 1)).bit_length() - 1 <= floors[d - 1]:
+            return False
+    return True
+
+
 def mirror(elements: Iterable[int], b: int) -> tuple[int, ...]:
     """Reflect a set of ints about b: {b - a for a in elements}, sorted.
 

@@ -52,6 +52,13 @@ short of a leaf, where most of the work lies: their next elements x are
 tried in place, from the run bound on and under the in-range cap, and
 the final element comes from the exact step.
 
+A stream may also carry floors, one least range per depth (the split
+bound of the mitm module, applied at every depth).  They define the
+stream rather than prune it, like T: the walk drops a child whose first
+gap is at most the floor of its depth, an x two short that leaves a hole
+at or below its floor, and a stem whose own prefixes miss theirs, so a
+stream split over stems is the serial stream.
+
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
 partials of a given depth) and distributed over processes; results are
@@ -80,18 +87,25 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_ELEMENT, Basis, as_basis, basis_range, sumset_bits
+from .core import MAX_ELEMENT, Basis, as_basis, basis_range, reaches_floors, sumset_bits
 
 
 @dataclass(frozen=True, slots=True)
 class EnumSpec:
     """What to enumerate: all admissible bases of the given length whose
     range is at least min_range, optionally restricted to a fixed stem of
-    leading elements."""
+    leading elements.
+
+    `floors`, when given, has one entry per depth d = 1..length, none above
+    min_range, and keeps only the bases whose prefix of depth d (its first
+    d + 1 elements) has range >= floors[d - 1].  The floors are part of
+    what is enumerated, like min_range: prune=False keeps them.
+    """
 
     length: int
     min_range: int = 0
     first_elements: Basis | None = None
+    floors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -114,6 +128,15 @@ class EnumSpec:
             if not _stem_admissible(stem):
                 raise ValueError(f"stem {stem} is not an admissible partial basis")
             object.__setattr__(self, "first_elements", stem)
+        if self.floors:
+            floors = tuple(map(int, self.floors))
+            if len(floors) != self.length:
+                raise ValueError(
+                    f"floors has {len(floors)} entries but the length {self.length} needs one per depth"
+                )
+            if not all(0 <= f <= self.min_range for f in floors):
+                raise ValueError(f"floors must lie between 0 and min_range {self.min_range}, got {floors}")
+            object.__setattr__(self, "floors", floors)
 
     @property
     def stem(self) -> Basis:
@@ -127,9 +150,12 @@ def _stem_admissible(stem: Sequence[int]) -> bool:
     return True
 
 
-def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bool) -> Iterator[Basis]:
+def _iter_admissible(
+    length: int, min_range: int, stem: Sequence[int], prune: bool, floors: Sequence[int] = ()
+) -> Iterator[Basis]:
     """DFS core: every admissible extension of `stem` to `length`, with
-    range >= min_range, in lexicographic order.
+    range >= min_range and each prefix of depth d at range >= floors[d - 1],
+    in lexicographic order.
 
     A node is (elements, mask, coverage, rev, lo, hi): its children are
     the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
@@ -139,6 +165,13 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     gap and it reaches min_range.  Every child gets the counting cut: it
     may leave at most `spare` holes in [0, min_range], which is
     min_range + 1 with prune=False.
+
+    The floors cost one comparison per pushed child: a child whose first
+    gap is at most its depth's floor is dropped.  The root drops a stem
+    that has a prefix below its floor, so the stems of a parallel run give
+    exactly the serial stream, and each x two short is dropped when it
+    leaves a hole at or below its floor.  Every floor is at most
+    min_range, so that hole is in [0, T].
 
     The children x of a node two short are tried in place, with
     T = min_range and `holes = tmask & ~c1`, the holes in [0, T] that x
@@ -157,9 +190,9 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
       or an x without a hole left, keeps every y in [x + 1, g], and every
       kept y must cover all of `holes`.
 
-    prune=False turns off all four cuts.  The soundness property test pins
-    them against the oracle, and the prune on/off tests pin the cuts on x
-    and the exact step.
+    prune=False turns off all four cuts, not the floors.  The soundness
+    property test pins the cuts against the oracle, and the prune on/off
+    tests pin the cuts on x and the exact step.
     """
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
@@ -174,6 +207,10 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     # lo, and the in-range cap holds from this x on
     run_below = (min_range - 2) // 2 if prune else -1
     cap_from = (min_range + 1) // 2 if prune else float("inf")
+    # floor[d] = the least range of the prefix of depth d
+    floor = [0, *floors] if floors else [0] * kp1
+    if floors and not reaches_floors(stem, floors):
+        return
 
     *parent, last = stem
     mask, cov = sumset_bits(parent)
@@ -186,10 +223,13 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
     rev = sum(1 << (last - 1 - a) for a in parent)
     nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
     two_short = kp1 - 2
+    # the holes an x two short may not leave: [0, its floor]
+    x_floor = (1 << (floor[two_short] + 1)) - 1
     while nodes:
         prefix, mask, cov, rev, lo, hi = nodes.pop()
         spare_child = spare[len(prefix) + 1]
         if len(prefix) != two_short:
+            least = floor[len(prefix)]
             children = []
             for a in range(lo, hi + 1):
                 rev <<= 1
@@ -198,6 +238,8 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
                 if (tmask & ~c2).bit_count() > spare_child:
                     continue
                 gap = ((~c2) & (c2 + 1)).bit_length() - 1
+                if gap <= least:
+                    continue
                 children.append((prefix + (a,), m2, c2, rev | 1, a + 1, gap))
             # the smallest child is walked first
             nodes.extend(reversed(children))
@@ -218,6 +260,8 @@ def _iter_admissible(length: int, min_range: int, stem: Sequence[int], prune: bo
             m1 = mask | (1 << x)
             c1 = cov | (m1 << x)
             holes = tmask & ~c1
+            if holes & x_floor:
+                continue
             count = holes.bit_count()
             if count > spare_child:
                 continue
@@ -283,9 +327,8 @@ class Workers:
         return self._pool.imap(func, jobs, chunksize=1)
 
 
-def _collect(args: tuple[int, int, Basis, bool]) -> list[Basis]:
-    length, min_range, stem, prune = args
-    return list(_iter_admissible(length, min_range, stem, prune))
+def _collect(args: tuple[int, int, Basis, bool, tuple[int, ...]]) -> list[Basis]:
+    return list(_iter_admissible(*args))
 
 
 def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
@@ -305,18 +348,19 @@ def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
 def enumerate_admissible(
     spec: EnumSpec, *, prune: bool = True, workers: Workers | None = None
 ) -> Iterator[Basis]:
-    """Yield every admissible basis of spec.length with range >= spec.min_range,
-    in lexicographic order.
+    """Yield every admissible basis of spec.length with range >= spec.min_range
+    whose prefixes reach spec.floors, in lexicographic order.
 
     prune=False disables the counting cut, the run bound, the in-range cap
-    and the exact last-element step (same stream, more work).  With `workers` of more than one
+    and the exact last-element step (same stream, more work); the floors
+    of the spec stay, as they define the stream.  With `workers` of more than one
     process, the stem partitions run in its pool and their results merge
     back in order; without, the stream is enumerated in this process.
     """
     stem = spec.stem
     depth = max(len(stem) - 1, 2)
     if workers is None or workers.processes <= 1 or depth >= spec.length:
-        yield from _iter_admissible(spec.length, spec.min_range, stem, prune)
+        yield from _iter_admissible(spec.length, spec.min_range, stem, prune, spec.floors)
         return
     # deepen the stems below spec.stem one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level
@@ -328,6 +372,6 @@ def enumerate_admissible(
             break
         depth += 1
         parts = [s for part in parts for s in stems(depth, part)]
-    jobs = [(spec.length, spec.min_range, part, prune) for part in parts]
+    jobs = [(spec.length, spec.min_range, part, prune, spec.floors) for part in parts]
     for chunk in workers.imap(_collect, jobs):
         yield from chunk

@@ -19,7 +19,7 @@ CRITERIA = {
     1: "oracle reproduces n2/n2* and all extremal bases for k = 1..10",
     2: "worked examples: 187 prefixes at k=12, the unique k=25 basis at n=228",
     3: "extremal restricted search matches the published tables for k = 11..26",
-    4: "k=30: n2* = 316 with all six bases (long)",
+    4: "k=30: n2* = 316 with all six bases",
     5: "k=41 seeded search rediscovers the published basis (long, needs cache)",
     6: "property suites: mirror identities, theorems, pruning, pivots, bounds",
     7: "admissible count at k=12 is 15752080",

@@ -2,10 +2,10 @@
 
 Each test exercises the stated command or function at full scale and
 asserts the published values exactly.  The conftest prints a one-line
-PASS/FAIL/NOT RUN summary per criterion after the run.  Criteria 4 and 5
-carry the `long` marker and are deselected by default; criterion 5
-additionally needs a prefix cache that takes ~100 CPU-hours to build and
-skips with an explanation when it is absent.
+PASS/FAIL/NOT RUN summary per criterion after the run.  Criterion 5
+carries the `long` marker and is deselected by default; it also needs a
+prefix cache that takes ~100 CPU-hours to build and skips with an
+explanation when it is absent.
 """
 
 import json
@@ -97,7 +97,6 @@ def test_criterion_3_extremal_tables(restricted_fixtures):
     assert time.perf_counter() - started <= 7200
 
 
-@pytest.mark.long
 def test_criterion_4_length_30(restricted_fixtures):
     report = find_extremal_restricted(30)
     assert report.n == 316

@@ -237,7 +237,39 @@ class TestPrefixCache:
         assert list(tmp_path.iterdir()) == []
         report = search_restricted(target, cache=cache)
         assert report.bases == ((0, 1, 3, 5, 7, 8),)
-        assert cache.load(*key) is not None
+        assert cache.load(*key, target.floors[: target.pivot]) is not None
+
+    def test_floored_entry_answers_only_its_floors(self, tmp_path):
+        cache = PrefixCache(tmp_path)
+        floored = [(0, 1, 2, 4, 5)]
+        path = cache.store(4, 10, floored, (0, 3, 6, 10))
+        assert path != cache.path_for(4, 10)
+        assert path != cache.path_for(4, 10, (0, 4, 6, 10))
+        assert "# floors=0,3,6,10" in path.read_text().splitlines()
+        assert cache.load(4, 10, (0, 3, 6, 10)) == floored
+        assert cache.load(4, 10) is None
+        assert cache.load(4, 10, (0, 4, 6, 10)) is None
+
+    def test_plain_entry_answers_floors_filtered(self, tmp_path):
+        cache = PrefixCache(tmp_path)
+        # the prefixes of depth 3 have ranges 6 and 8
+        plain = [(0, 1, 2, 4, 5), (0, 1, 3, 4, 5)]
+        cache.store(4, 10, plain)
+        assert cache.load(4, 10, (0, 0, 6, 10)) == plain
+        assert cache.load(4, 10, (0, 0, 7, 10)) == [(0, 1, 3, 4, 5)]
+        assert cache.load(4, 10, (0, 5, 6, 10)) == []
+        assert cache.load(4, 10) == plain
+
+    def test_floors_header_mismatch_detected(self, tmp_path):
+        cache = PrefixCache(tmp_path)
+        path = cache.store(4, 10, [(0, 1, 2, 3, 4)], (0, 3, 6, 10))
+        path.write_text(path.read_text().replace("# floors=0,3,6,10", "# floors=0,0,6,10"))
+        with pytest.raises(ValueError, match="cache key"):
+            cache.load(4, 10, (0, 3, 6, 10))
+        # a floored file under a plain name does not answer a plain request
+        cache.path_for(4, 10).write_text(path.read_text())
+        with pytest.raises(ValueError, match="cache key"):
+            cache.load(4, 10)
 
     @pytest.mark.parametrize("count", ["", "12x"])
     def test_damaged_count_names_the_file(self, tmp_path, count):

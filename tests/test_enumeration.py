@@ -39,6 +39,25 @@ def stem_specs(draw):
     return EnumSpec(length, threshold, stem)
 
 
+def meets(basis, floors):
+    """The floors by their definition: the prefix of each depth d has
+    range >= floors[d - 1], by basis_range of the prefix."""
+    return all(basis_range(basis[: d + 1]) >= f for d, f in enumerate(floors, start=1))
+
+
+@st.composite
+def floored_specs(draw):
+    """A stem_specs spec with a floor per depth, each drawn up to just past
+    n2(d) and capped at T, in any order: a prefix can fail a shallow
+    floor and pass every deeper one."""
+    spec = draw(stem_specs())
+    floors = tuple(
+        draw(st.integers(min_value=0, max_value=min(spec.min_range, DEFAULT.known_unrestricted_range(d) + 1)))
+        for d in range(1, spec.length + 1)
+    )
+    return EnumSpec(spec.length, spec.min_range, spec.first_elements, floors)
+
+
 def load(path):
     with open(path) as f:
         return read_bases(f, str(path))
@@ -88,6 +107,17 @@ class TestEnumSpec:
     def test_rejects_oversized_stem(self):
         with pytest.raises(ValueError, match="at most"):
             EnumSpec(2, 0, (0, 1, 2, 3))
+
+    def test_floors_need_one_entry_per_depth(self):
+        assert EnumSpec(3, 6, floors=[0, 2, 6]).floors == (0, 2, 6)
+        with pytest.raises(ValueError, match="one per depth"):
+            EnumSpec(3, 6, floors=(0, 6))
+
+    def test_floors_stay_within_min_range(self):
+        with pytest.raises(ValueError, match="between 0 and min_range 6"):
+            EnumSpec(3, 6, floors=(0, 7, 6))
+        with pytest.raises(ValueError, match="between 0 and min_range 6"):
+            EnumSpec(3, 6, floors=(-1, 2, 6))
 
 
 class TestPartialState:
@@ -172,6 +202,58 @@ class TestGapsPrune:
             if b[: len(stem)] == stem and basis_range(b) >= spec.min_range
         ]
         assert list(enumerate_admissible(spec)) == expected
+
+
+class TestFloors:
+    """A floored stream is the plain stream filtered by its floors, below
+    any stem, with prune on and off."""
+
+    # the prefix stream of SearchTarget.create(14, 80): no floor below
+    # depth 4, then 6, 12, 18 and 22
+    SPEC = EnumSpec(7, 22, floors=(0, 0, 0, 6, 12, 18, 22))
+
+    @settings(max_examples=300)
+    @given(floored_specs())
+    def test_equals_the_filtered_oracle(self, spec):
+        stem = spec.stem
+        expected = [
+            b for b in oracle_stream(spec.length)
+            if b[: len(stem)] == stem and basis_range(b) >= spec.min_range and meets(b, spec.floors)
+        ]
+        assert list(enumerate_admissible(spec)) == expected
+        assert list(enumerate_admissible(spec, prune=False)) == expected
+
+    def test_a_stem_below_a_shallow_floor_is_empty(self):
+        # (0, 1, 3) has range 4 < 5, and (0, 1, 3, 4) range 8 >= 5: only
+        # the check of the stem's own prefixes drops it
+        floors = (0, 5, 5, 5, 10)
+        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4)))) != []
+        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4), floors))) == []
+        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4, 8), floors))) == []
+        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 2, 4), floors))) == [
+            b for b in enumerate_admissible(EnumSpec(5, 10, (0, 1, 2, 4))) if meets(b, floors)
+        ]
+
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    def test_stem_partitions_give_the_whole_stream(self, depth):
+        # as the pool's jobs do: every stem of the depth, floored or not
+        spec = self.SPEC
+        whole = list(enumerate_admissible(spec))
+        assert whole == [b for b in enumerate_admissible(EnumSpec(7, 22)) if meets(b, spec.floors)]
+        parts = stems(depth)
+        pieces = []
+        for stem in parts:
+            pieces.extend(enumerate_admissible(EnumSpec(7, 22, stem, spec.floors)))
+        assert pieces == whole
+        if depth == 6:
+            # a stem that fails the depth-5 floor and passes the depth-6 one
+            assert any(not meets(s, spec.floors[:5]) and basis_range(s) >= 18 for s in parts)
+
+    def test_parallel_equals_serial(self):
+        with Workers(2) as workers:
+            assert list(enumerate_admissible(self.SPEC, workers=workers)) == list(
+                enumerate_admissible(self.SPEC)
+            )
 
 
 class TestEnumerate:

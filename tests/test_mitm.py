@@ -84,6 +84,77 @@ def glue_inputs(draw):
     return SearchTarget.create(k, n, i), prefixes, suffixes
 
 
+def n2_floors(k, n):
+    """floor[d] = n/2 - n2(k - 2 - d) - 2 for d = 1..k - 2, written out
+    from the lemma, unclamped; a depth whose n2(k - 2 - d) is not on
+    record is left out."""
+    return {
+        d: n // 2 - DEFAULT.unrestricted[k - 2 - d] - 2
+        for d in range(1, k - 1)
+        if k - 2 - d in DEFAULT.unrestricted
+    }
+
+
+class TestFloors:
+    """The split bound at every depth: the per-depth floors of a target,
+    the streams they give, and the published bases they must keep."""
+
+    def test_floors_end_at_the_stream_bounds(self):
+        for k in range(3, 42):
+            for pivot in range(1, k - 1):
+                try:
+                    target = SearchTarget.create(k, DEFAULT.known_restricted_range(k), pivot)
+                except CatalogMissingError:
+                    continue
+                i, j = target.pivot, target.suffix_length
+                assert len(target.floors) == max(i, j)
+                assert target.floors[i - 1] == target.prefix_min_range
+                assert target.floors[j - 1] == target.suffix_min_range
+                lemma = n2_floors(k, target.n)
+                assert target.floors == tuple(max(0, lemma.get(d, 0)) for d in range(1, max(i, j) + 1))
+
+    def test_published_bases_reach_their_floors(self, restricted_fixtures):
+        # every prefix of every published basis up to k = 41, wherever n2
+        # is on record; the fixtures are closed under mirroring, so this
+        # covers the suffix streams too
+        checks = 0
+        for k, fixtures in restricted_fixtures.items():
+            for f in fixtures:
+                for d, floor in n2_floors(k, f.range).items():
+                    assert basis_range(f.basis[: d + 1]) >= floor, (f.basis, d)
+                    checks += 1
+        assert checks == 942
+
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_descent_streams_are_the_filtered_plain_streams(self, k):
+        # both streams of every level, every pivot up to k = 9, with prune
+        # on and off and with 1 and 2 workers
+        pivots = range(1, k - 1) if k <= 9 else [None]
+        with Workers(2) as workers:
+            for target in descent_levels(k, pivots):
+                for length, min_range in (
+                    (target.pivot, target.prefix_min_range),
+                    (target.suffix_length, target.suffix_min_range),
+                ):
+                    floors = target.floors[:length]
+                    expected = [
+                        b for b in stream(length, min_range)
+                        if all(basis_range(b[: d + 1]) >= f for d, f in enumerate(floors, start=1))
+                    ]
+                    spec = EnumSpec(length, min_range, floors=floors)
+                    assert list(enumerate_admissible(spec)) == expected, (target, length)
+                    assert list(enumerate_admissible(spec, prune=False)) == expected, (target, length)
+                    assert list(enumerate_admissible(spec, workers=workers)) == expected, (target, length)
+
+    @pytest.mark.parametrize("n,plain,floored", [(204, 4, 0), (202, 5, 0), (200, 35, 1), (198, 56, 3), (196, 213, 14)])
+    def test_k23_descent_stream_sizes(self, n, plain, floored):
+        target = SearchTarget.create(23, n)
+        length, min_range = target.pivot, target.prefix_min_range
+        assert len(stream(length, min_range)) == plain
+        spec = EnumSpec(length, min_range, floors=target.floors[:length])
+        assert sum(1 for _ in enumerate_admissible(spec)) == floored
+
+
 class TestSearchTarget:
     def test_default_pivot_and_stream_bounds(self):
         target = SearchTarget.create(25, 228)
@@ -253,7 +324,7 @@ class TestSearch:
         target = SearchTarget.create(9, 40)
         cache = PrefixCache(tmp_path)
         cold = search_restricted(target, cache=cache)
-        stored = cache.load(target.pivot, target.prefix_min_range)
+        stored = cache.load(target.pivot, target.prefix_min_range, target.floors[: target.pivot])
         assert stored is not None and len(stored) == cold.prefix_count
         messages = []
         warm = search_restricted(target, cache=cache, log=messages.append)
@@ -347,6 +418,8 @@ class TestOnePool:
         assert len(started_pools) == 1
 
     def test_cached_level_starts_none(self, started_pools, tmp_path):
+        # plain streams under the plain key: the search filters them by
+        # its floors, so no stream is enumerated
         target = self.TARGET
         cache = PrefixCache(tmp_path)
         for length, min_range in (

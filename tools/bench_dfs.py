@@ -1,14 +1,18 @@
 """Time the DFS enumerator on fixed streams.
 
-Each stream is one `enumerate_admissible(EnumSpec(length, min_range))`
-call, run serially and consumed in full inside the timed region.  Time is
+Each stream is one `enumerate_admissible(EnumSpec(...))` call, run
+serially and consumed in full inside the timed region.  Time is
 `time.process_time` (CPU seconds of this process), so the numbers do not
-count waiting for a shared machine.  The streams are the five that the
-k = 23 descent enumerates, (11, 54) down to (11, 50), plus (12, 56),
-(10, 30), (10, 40), which `search -k 21 -n 164` uses for both halves,
-and the k = 22 descent's final level, (11, 48) and (10, 42).  Each
-stream is timed once per round; the median over rounds is reported
-together with the stream size and bases per second.
+count waiting for a shared machine.  The plain streams are the five that
+the k = 23 descent enumerated before it had per-depth floors, (11, 54)
+down to (11, 50), plus (12, 56), (10, 30), (10, 40), which
+`search -k 21 -n 164` used for both halves, and the k = 22 descent's
+final level, (11, 48) and (10, 42); `enumerate` and plain cache entries
+still produce them.  Then come the floored streams that the k = 22 and
+k = 23 descents enumerate now, each with the floors of its level
+(`SearchTarget.floors`).  Each stream is timed once per round; the median
+over rounds is reported together with the stream size and bases per
+second.
 
 Run from the repository root:
     python tools/bench_dfs.py --rounds 5
@@ -29,18 +33,37 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from addbasis.catalog import DEFAULT  # noqa: E402
 from addbasis.enumeration import EnumSpec, enumerate_admissible  # noqa: E402
+from addbasis.mitm import SearchTarget, upper_bound_restricted  # noqa: E402
 
-STREAMS = (
+PLAIN = (
     (11, 54), (11, 53), (11, 52), (11, 51), (11, 50),
     (12, 56), (10, 30), (10, 40), (11, 48), (10, 42),
 )
+DESCENTS = (22, 23)
 
 
-def time_stream(length: int, min_range: int) -> tuple[int, float]:
+def descent_specs(k: int) -> list[EnumSpec]:
+    """The streams of the k descent, each once: both streams of every
+    level from the pairing bound down to n2*(k), with their floors."""
+    specs: list[EnumSpec] = []
+    for n in range(upper_bound_restricted(k), DEFAULT.known_restricted_range(k) - 1, -2):
+        target = SearchTarget.create(k, n)
+        for length, min_range in (
+            (target.pivot, target.prefix_min_range),
+            (target.suffix_length, target.suffix_min_range),
+        ):
+            spec = EnumSpec(length, min_range, floors=target.floors[:length])
+            if spec not in specs:
+                specs.append(spec)
+    return specs
+
+
+def time_stream(spec: EnumSpec) -> tuple[int, float]:
     """Bases in the stream and the CPU seconds it took to enumerate them."""
     start = time.process_time()
-    count = sum(1 for _ in enumerate_admissible(EnumSpec(length, min_range)))
+    count = sum(1 for _ in enumerate_admissible(spec))
     return count, time.process_time() - start
 
 
@@ -52,30 +75,37 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
 
-    times: dict[tuple[int, int], list[float]] = {s: [] for s in STREAMS}
-    counts: dict[tuple[int, int], int] = {}
+    # (descent, spec); descent None for a plain stream
+    streams = [(None, EnumSpec(*s)) for s in PLAIN]
+    streams += [(k, spec) for k in DESCENTS for spec in descent_specs(k)]
+    times: list[list[float]] = [[] for _ in streams]
+    counts: list[int] = [0] * len(streams)
     for _ in range(args.rounds):
-        for stream in STREAMS:
-            counts[stream], seconds = time_stream(*stream)
-            times[stream].append(seconds)
+        for i, (_, spec) in enumerate(streams):
+            counts[i], seconds = time_stream(spec)
+            times[i].append(seconds)
 
     if not args.json:
-        print(f"{'stream':>10} {'bases':>7} {'cpu_s':>8} {'bases/s':>9}")
-    for (length, min_range), samples in times.items():
+        print(f"{'stream':>10} {'floors':>7} {'bases':>7} {'cpu_s':>8} {'bases/s':>9}")
+    for (k, spec), count, samples in zip(streams, counts, times):
         cpu_s = statistics.median(samples)
-        count = counts[length, min_range]
         row = {
-            "length": length,
-            "min_range": min_range,
+            "length": spec.length,
+            "min_range": spec.min_range,
+            "floors_of": None if k is None else f"k={k}",
+            "floors": list(spec.floors) or None,
             "bases": count,
             "cpu_s": round(cpu_s, 4),
-            "bases_per_s": round(count / cpu_s, 1),
+            # an empty stream can take no measurable time
+            "bases_per_s": round(count / cpu_s, 1) if cpu_s else None,
             "samples": [round(t, 4) for t in samples],
         }
         if args.json:
             print(json.dumps(row))
         else:
-            print(f"{f'({length}, {min_range})':>10} {count:>7} {cpu_s:>8.3f} {row['bases_per_s']:>9.1f}")
+            label = f"({spec.length}, {spec.min_range})"
+            rate = f"{row['bases_per_s']:>9.1f}" if cpu_s else f"{'-':>9}"
+            print(f"{label:>10} {row['floors_of'] or 'plain':>7} {count:>7} {cpu_s:>8.3f} {rate}")
     return 0
 
 
