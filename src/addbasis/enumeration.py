@@ -59,6 +59,22 @@ gap is at most the floor of its depth, an x two short that leaves a hole
 at or below its floor, and a stem whose own prefixes miss theirs, so a
 stream split over stems is the serial stream.
 
+The floor step.  Let P be a node whose children have depth d, and let P
+have holes in [0, floor[d]]; g is the first of them, P's first gap, and
+h the largest.  A child a that reaches the floor covers both, and
+neither is a sum within P.  The child exceeds max P, and g <= 2 max P + 1
+< 2a, so g - a must be an element of P; h - a must be one unless h = 2a.
+These are the two shifts of the exact last-element step, so P's
+children are read off them at every depth with a floor, and so are the
+x of a node two short, against the floor of their depth, once the run
+bound has moved the start of the x loop.  The step drops only children
+that the floor test would drop, so the nodes and the stream stay the
+same; every child it keeps still gets the counting cut and the floor
+test.  A node without a hole under the floor tries each next element in
+turn, as do all nodes of a depth whose floor is 0: there, walking the
+bits of a candidate mask costs more than it saves.  floor[0] is 0, so
+the empty prefix, where g = 0 = 2 * 0, never takes the step.
+
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
 partials of a given depth) and distributed over processes; results are
@@ -150,6 +166,29 @@ def _stem_admissible(stem: Sequence[int]) -> bool:
     return True
 
 
+def _floor_step(below: int, rev: int, lo: int, hi: int) -> list[int]:
+    """The floor step at a node P: its next elements in [lo, hi] that can
+    cover both P's first gap g and h, the largest of `below`, P's holes
+    under the floor of its children's depth.  rev has bit (lo - 1) - e set
+    for each element e of P, so bit a of `rev << (g - lo + 1)` is set
+    exactly when g - a is an element, and of `rev << (h - lo + 1)` when
+    h - a is one; the `half` bit adds a = h/2."""
+    if hi < lo:
+        return []
+    g = (below & -below).bit_length() - 1
+    h = below.bit_length() - 1
+    half = 0 if h & 1 else 1 << (h >> 1)
+    # bit i stands for a = lo + i, up to a = hi
+    cand = ((rev << (g - lo + 1)) & ((rev << (h - lo + 1)) | half)) >> lo
+    cand &= (2 << (hi - lo)) - 1
+    out = []
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        out.append(lo - 1 + low.bit_length())
+    return out
+
+
 def _iter_admissible(
     length: int, min_range: int, stem: Sequence[int], prune: bool, floors: Sequence[int] = ()
 ) -> Iterator[Basis]:
@@ -159,40 +198,45 @@ def _iter_admissible(
 
     A node is (elements, mask, coverage, rev, lo, hi): its children are
     the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
-    each element a.  The root is the stem's parent, with hi capped at its
+    each element a, so a child a gets `(rev << (a - lo + 1)) | 1`.  The root is the stem's parent, with hi capped at its
     first gap, so an inadmissible stem from `stems` has no children, and
     a full-length stem is yielded only if its last element is within that
-    gap and it reaches min_range.  Every child gets the counting cut: it
-    may leave at most `spare` holes in [0, min_range], which is
-    min_range + 1 with prune=False.
+    gap and it reaches min_range.  With prune=False, `spare` lets a child
+    leave all min_range + 1 values of [0, min_range] open.
 
-    The floors cost one comparison per pushed child: a child whose first
-    gap is at most its depth's floor is dropped.  The root drops a stem
-    that has a prefix below its floor, so the stems of a parallel run give
-    exactly the serial stream, and each x two short is dropped when it
-    leaves a hole at or below its floor.  Every floor is at most
-    min_range, so that hole is in [0, T].
+    The floors are tested only at a node with holes in [0, floor of its
+    children's depth] (`below`), since a child covers all that its parent
+    covers.  There a child whose first gap is at most the floor is
+    dropped, and so is an x two short that leaves a hole at or below its
+    floor; every floor is at most min_range, so that hole is in [0, T].
+    The root drops a stem that has a prefix below its floor, so the stems
+    of a parallel run give exactly the serial stream.
 
     The children x of a node two short are tried in place, with
-    T = min_range and `holes = tmask & ~c1`, the holes in [0, T] that x
-    leaves.
+    T = min_range, `holes = tmask & ~c1`, the holes in [0, T] that x
+    leaves, and `r1 = (rev << (x - lo + 1)) | 1`, which has bit x - a set
+    for each element a, x included.  The cuts:
 
-    - The run bound: the loop starts at (T - L - 1) // 2, L being the
-      node's longest run, and shifts rev once for each x it skips.  L is
+    - The counting cut, on every child: it may leave at most
+      `spare_child` holes in [0, T].
+    - The floor step, at a node with holes in [0, floor of its children's
+      depth] (`below`): `_floor_step` keeps the children that can cover
+      the first and the largest of them; other nodes try [lo, hi] in turn.
+    - The run bound: the x loop starts at (T - L - 1) // 2, L being the
+      node's longest run, and rev is shifted by the x it skips.  L is
       counted only when the bound can bind: L >= 1, so the start is at
       most (T - 2) // 2.
-    - The in-range cap: from 2x >= T on, `rev >> (2x + 1 - T)` has one bit
+    - The in-range cap: from 2x >= T on, `r1 >> (2x + 1 - T)` has one bit
       for each element a <= T - x - 1, the only ones with y + a <= T, and
       an x that leaves more holes than it has bits is skipped.
-    - The exact step: after `rev <<= 1`, bit y of `rev << (g - x)` is set
-      exactly when g - y is an element, and bit y of `rev << (h - x)`
-      exactly when h - y is one; the `half` bit adds y = h/2.  prune=False,
-      or an x without a hole left, keeps every y in [x + 1, g], and every
-      kept y must cover all of `holes`.
+    - The exact step: bit y of `r1 << (g - x)` is set exactly when g - y
+      is an element, and bit y of `r1 << (h - x)` exactly when h - y is
+      one; the `half` bit adds y = h/2.  An x without a hole left keeps
+      every y in [x + 1, g], and every kept y must cover all of `holes`.
 
-    prune=False turns off all four cuts, not the floors.  The soundness
-    property test pins the cuts against the oracle, and the prune on/off
-    tests pin the cuts on x and the exact step.
+    prune=False turns off all five cuts, not the floors, and keeps every
+    y in [x + 1, g].  The soundness property test pins the cuts against
+    the oracle, and the prune on/off tests pin each of them.
     """
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
@@ -211,6 +255,10 @@ def _iter_admissible(
     floor = [0, *floors] if floors else [0] * kp1
     if floors and not reaches_floors(stem, floors):
         return
+    # floor_mask[d] = [0, floor[d]], or 0 where the floor is 0.  floor[0]
+    # is 0, so the empty prefix, whose hole 0 is 2 * 0, never takes the
+    # floor step
+    floor_mask = [(2 << f) - 1 if f else 0 for f in floor]
 
     *parent, last = stem
     mask, cov = sumset_bits(parent)
@@ -223,24 +271,27 @@ def _iter_admissible(
     rev = sum(1 << (last - 1 - a) for a in parent)
     nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
     two_short = kp1 - 2
-    # the holes an x two short may not leave: [0, its floor]
-    x_floor = (1 << (floor[two_short] + 1)) - 1
     while nodes:
         prefix, mask, cov, rev, lo, hi = nodes.pop()
-        spare_child = spare[len(prefix) + 1]
-        if len(prefix) != two_short:
-            least = floor[len(prefix)]
+        depth = len(prefix)
+        spare_child = spare[depth + 1]
+        # P's holes under its children's floor: only a node with some can
+        # have a child below the floor, and only there the floor step runs
+        below = floor_mask[depth]
+        if below:
+            below &= ~cov
+        if depth != two_short:
+            least = floor[depth]
             children = []
-            for a in range(lo, hi + 1):
-                rev <<= 1
+            for a in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
                 m2 = mask | (1 << a)
                 c2 = cov | (m2 << a)
                 if (tmask & ~c2).bit_count() > spare_child:
                     continue
                 gap = ((~c2) & (c2 + 1)).bit_length() - 1
-                if gap <= least:
+                if below and gap <= least:
                     continue
-                children.append((prefix + (a,), m2, c2, rev | 1, a + 1, gap))
+                children.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
             # the smallest child is walked first
             nodes.extend(reversed(children))
             continue
@@ -255,20 +306,20 @@ def _iter_admissible(
             if start > lo:
                 rev <<= start - lo
                 lo = start
-        for x in range(lo, hi + 1):
-            rev <<= 1
+        for x in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
             m1 = mask | (1 << x)
             c1 = cov | (m1 << x)
             holes = tmask & ~c1
-            if holes & x_floor:
+            if below and holes & below:
                 continue
             count = holes.bit_count()
             if count > spare_child:
                 continue
-            if x >= cap_from and count > (rev >> (2 * x + 1 - min_range)).bit_count():
+            # bit x - a of r1 is set for each element a, x included
+            r1 = (rev << (x - lo + 1)) | 1
+            if x >= cap_from and count > (r1 >> (2 * x + 1 - min_range)).bit_count():
                 continue
             if prune and holes:
-                r1 = rev | 1
                 g = (holes & -holes).bit_length() - 1
                 h = holes.bit_length() - 1
                 half = 0 if h & 1 else 1 << (h >> 1)
@@ -351,11 +402,18 @@ def enumerate_admissible(
     """Yield every admissible basis of spec.length with range >= spec.min_range
     whose prefixes reach spec.floors, in lexicographic order.
 
-    prune=False disables the counting cut, the run bound, the in-range cap
-    and the exact last-element step (same stream, more work); the floors
-    of the spec stay, as they define the stream.  With `workers` of more than one
-    process, the stem partitions run in its pool and their results merge
-    back in order; without, the stream is enumerated in this process.
+    prune=False disables the five cuts (same stream, more work):
+
+    - the counting cut;
+    - the floor step;
+    - the run bound;
+    - the in-range cap;
+    - the exact last-element step.
+
+    The floors of the spec stay, as they define the stream.  With
+    `workers` of more than one process, the stem partitions run in its
+    pool and their results merge back in order; without, the stream is
+    enumerated in this process.
     """
     stem = spec.stem
     depth = max(len(stem) - 1, 2)

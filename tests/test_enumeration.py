@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
 from addbasis.core import MAX_ELEMENT, atomic_write, basis_range, read_bases, sumset_bits, write_bases
-from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible, stems
+from addbasis.enumeration import EnumSpec, Workers, _floor_step, enumerate_admissible, stems
+from addbasis.mitm import SearchTarget, upper_bound_restricted
 from addbasis.oracle import all_admissible
 
 bases = st.lists(
@@ -56,6 +57,31 @@ def floored_specs(draw):
         for d in range(1, spec.length + 1)
     )
     return EnumSpec(spec.length, spec.min_range, spec.first_elements, floors)
+
+
+@st.composite
+def shallow_floored_specs(draw):
+    """A stem_specs spec whose floors reach the first gap at the shallow
+    depths: for d up to 1..3, floor[d] lies in [n2(d - 1) + 1, n2(d)] (capped
+    at T), at or above the first gap of every prefix of depth d - 1, so the
+    floor step runs at each node there; deeper floors as in floored_specs."""
+    spec = draw(stem_specs())
+    shallow = draw(st.integers(min_value=1, max_value=min(3, spec.length)))
+    floors = []
+    for d in range(1, spec.length + 1):
+        top = DEFAULT.known_unrestricted_range(d)
+        least = DEFAULT.known_unrestricted_range(d - 1) + 1 if d <= shallow else 0
+        floors.append(min(spec.min_range, draw(st.integers(min_value=least, max_value=top if d <= shallow else top + 1))))
+    return EnumSpec(spec.length, spec.min_range, spec.first_elements, tuple(floors))
+
+
+@st.composite
+def admissible_partials(draw):
+    """A random admissible partial basis of 1 to 9 elements."""
+    basis = (0,)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        basis += (draw(st.integers(min_value=basis[-1] + 1, max_value=basis_range(basis) + 1)),)
+    return basis
 
 
 def load(path):
@@ -254,6 +280,72 @@ class TestFloors:
             assert list(enumerate_admissible(self.SPEC, workers=workers)) == list(
                 enumerate_admissible(self.SPEC)
             )
+
+
+class TestFloorStep:
+    """The floor step: a node with holes under its children's floor reads
+    its next elements off its first gap g and the largest such hole h."""
+
+    # a floor at every depth, from depth 1 on: each (0, 1, ...) prefix
+    # has holes under some floor, so the step runs from the root down
+    SPEC = EnumSpec(7, 22, floors=(2, 3, 6, 9, 13, 17, 22))
+
+    @given(admissible_partials(), st.data())
+    def test_candidates_cover_g_and_h(self, node, data):
+        # lo above max P + 1 stands for the run bound, and lo > hi for an
+        # emptied x loop or an inadmissible stem at the root
+        _, cov = sumset_bits(node)
+        hi = ((~cov) & (cov + 1)).bit_length() - 1
+        lo = data.draw(st.integers(min_value=node[-1] + 1, max_value=hi + 2))
+        floor = data.draw(st.integers(min_value=hi, max_value=2 * hi + 2))
+        below = ~cov & ((2 << floor) - 1)
+        rev = sum(1 << (lo - 1 - e) for e in node)
+        g, h = hi, below.bit_length() - 1
+        got = _floor_step(below, rev, lo, hi)
+        assert got == [a for a in range(lo, hi + 1) if g - a in node and (h - a in node or h == 2 * a)]
+        # exact: it keeps every child that reaches the floor
+        assert {a for a in range(lo, hi + 1) if basis_range(node + (a,)) >= floor} <= set(got)
+
+    @settings(max_examples=300)
+    @given(shallow_floored_specs())
+    def test_shallow_floors_equal_the_filtered_oracle(self, spec):
+        stem = spec.stem
+        expected = [
+            b for b in oracle_stream(spec.length)
+            if b[: len(stem)] == stem and basis_range(b) >= spec.min_range and meets(b, spec.floors)
+        ]
+        assert list(enumerate_admissible(spec)) == expected
+        assert list(enumerate_admissible(spec, prune=False)) == expected
+
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_prune_does_not_change_descent_streams(self, k):
+        # both floored streams of every level from the pairing bound down to
+        # n2*(k), at every pivot up to k = 10 and the default one above
+        for pivot in range(1, k - 1) if k <= 10 else [k // 2]:
+            for n in range(upper_bound_restricted(k), DEFAULT.known_restricted_range(k) - 1, -2):
+                target = SearchTarget.create(k, n, pivot)
+                for length, min_range in (
+                    (target.pivot, target.prefix_min_range),
+                    (target.suffix_length, target.suffix_min_range),
+                ):
+                    spec = EnumSpec(length, min_range, floors=target.floors[:length])
+                    with_prune = list(enumerate_admissible(spec))
+                    assert with_prune == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    def test_stems_give_the_serial_stream(self, depth, processes):
+        spec = self.SPEC
+        serial = list(enumerate_admissible(spec))
+        assert serial == [b for b in enumerate_admissible(EnumSpec(7, 22)) if meets(b, spec.floors)]
+        assert len(serial) == 35
+        with Workers(processes) as workers:
+            pieces = [
+                b
+                for stem in stems(depth)
+                for b in enumerate_admissible(EnumSpec(7, 22, stem, spec.floors), workers=workers)
+            ]
+        assert pieces == serial
 
 
 class TestEnumerate:

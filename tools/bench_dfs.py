@@ -8,9 +8,10 @@ the k = 23 descent enumerated before it had per-depth floors, (11, 54)
 down to (11, 50), plus (12, 56), (10, 30), (10, 40), which
 `search -k 21 -n 164` used for both halves, and the k = 22 descent's
 final level, (11, 48) and (10, 42); `enumerate` and plain cache entries
-still produce them.  Then come the floored streams that the k = 22 and
-k = 23 descents enumerate now, each with the floors of its level
-(`SearchTarget.floors`).  Each stream is timed once per round; the median
+still produce them.  Then come the floored streams that the k = 22, 23
+and 26 descents enumerate now, each with the floors of its level
+(`SearchTarget.floors`); the length-12 and 13 streams of k = 26 are where
+the floor step matters beyond k = 23.  Each stream is timed once per round; the median
 over rounds is reported together with the stream size and bases per
 second.
 
@@ -41,7 +42,7 @@ PLAIN = (
     (11, 54), (11, 53), (11, 52), (11, 51), (11, 50),
     (12, 56), (10, 30), (10, 40), (11, 48), (10, 42),
 )
-DESCENTS = (22, 23)
+DESCENTS = (22, 23, 26)
 
 
 def descent_specs(k: int) -> list[EnumSpec]:
