@@ -70,10 +70,10 @@ x of a node two short, against the floor of their depth, once the run
 bound has moved the start of the x loop.  The step drops only children
 that the floor test would drop, so the nodes and the stream stay the
 same; every child it keeps still gets the counting cut and the floor
-test.  A node without a hole under the floor tries each next element in
-turn, as do all nodes of a depth whose floor is 0: there, walking the
-bits of a candidate mask costs more than it saves.  floor[0] is 0, so
-the empty prefix, where g = 0 = 2 * 0, never takes the step.
+test.  A node without a hole under the floor, which includes every node
+of a depth whose floor is 0, has no step to take and tries each next
+element in turn.  floor[0] is 0, so the empty prefix, where g = 0 = 2 * 0,
+never takes the step.
 
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
@@ -198,10 +198,11 @@ def _iter_admissible(
 
     A node is (elements, mask, coverage, rev, lo, hi): its children are
     the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
-    each element a, so a child a gets `(rev << (a - lo + 1)) | 1`.  The root is the stem's parent, with hi capped at its
-    first gap, so an inadmissible stem from `stems` has no children, and
-    a full-length stem is yielded only if its last element is within that
-    gap and it reaches min_range.  With prune=False, `spare` lets a child
+    each element a, so a child a gets `(rev << (a - lo + 1)) | 1`.  The
+    root is the stem's parent, with hi capped at its first gap, so an
+    inadmissible stem from `stems` has no children, and a full-length
+    stem is yielded only if its last element is within that gap and it
+    reaches min_range.  With prune=False, `spare` lets a child
     leave all min_range + 1 values of [0, min_range] open.
 
     The floors are tested only at a node with holes in [0, floor of its

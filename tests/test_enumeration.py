@@ -62,16 +62,20 @@ def floored_specs(draw):
 @st.composite
 def shallow_floored_specs(draw):
     """A stem_specs spec whose floors reach the first gap at the shallow
-    depths: for d up to 1..3, floor[d] lies in [n2(d - 1) + 1, n2(d)] (capped
-    at T), at or above the first gap of every prefix of depth d - 1, so the
-    floor step runs at each node there; deeper floors as in floored_specs."""
+    depths: up to a depth of 1 to 3, floor[d] lies in [n2(d - 1) + 1, n2(d)]
+    (capped at T), at or above the first gap of every prefix of depth
+    d - 1, so the floor step runs at each node there; deeper floors as in
+    floored_specs."""
     spec = draw(stem_specs())
     shallow = draw(st.integers(min_value=1, max_value=min(3, spec.length)))
     floors = []
     for d in range(1, spec.length + 1):
         top = DEFAULT.known_unrestricted_range(d)
-        least = DEFAULT.known_unrestricted_range(d - 1) + 1 if d <= shallow else 0
-        floors.append(min(spec.min_range, draw(st.integers(min_value=least, max_value=top if d <= shallow else top + 1))))
+        if d <= shallow:
+            floor = draw(st.integers(min_value=DEFAULT.known_unrestricted_range(d - 1) + 1, max_value=top))
+        else:
+            floor = draw(st.integers(min_value=0, max_value=top + 1))
+        floors.append(min(spec.min_range, floor))
     return EnumSpec(spec.length, spec.min_range, spec.first_elements, tuple(floors))
 
 
@@ -238,8 +242,8 @@ class TestFloors:
     # depth 4, then 6, 12, 18 and 22
     SPEC = EnumSpec(7, 22, floors=(0, 0, 0, 6, 12, 18, 22))
 
-    @settings(max_examples=300)
-    @given(floored_specs())
+    @settings(max_examples=600)
+    @given(st.one_of(floored_specs(), shallow_floored_specs()))
     def test_equals_the_filtered_oracle(self, spec):
         stem = spec.stem
         expected = [
@@ -293,7 +297,7 @@ class TestFloorStep:
     @given(admissible_partials(), st.data())
     def test_candidates_cover_g_and_h(self, node, data):
         # lo above max P + 1 stands for the run bound, and lo > hi for an
-        # emptied x loop or an inadmissible stem at the root
+        # x loop that it has emptied
         _, cov = sumset_bits(node)
         hi = ((~cov) & (cov + 1)).bit_length() - 1
         lo = data.draw(st.integers(min_value=node[-1] + 1, max_value=hi + 2))
@@ -306,16 +310,13 @@ class TestFloorStep:
         # exact: it keeps every child that reaches the floor
         assert {a for a in range(lo, hi + 1) if basis_range(node + (a,)) >= floor} <= set(got)
 
-    @settings(max_examples=300)
-    @given(shallow_floored_specs())
-    def test_shallow_floors_equal_the_filtered_oracle(self, spec):
-        stem = spec.stem
-        expected = [
-            b for b in oracle_stream(spec.length)
-            if b[: len(stem)] == stem and basis_range(b) >= spec.min_range and meets(b, spec.floors)
-        ]
-        assert list(enumerate_admissible(spec)) == expected
-        assert list(enumerate_admissible(spec, prune=False)) == expected
+    def test_run_bound_past_the_first_gap(self):
+        # nodes two short of this stream have holes under the x floor, and
+        # the run bound moves the start of their x loop to 12, past their
+        # first gap 11: the step gives them no x, and the stream is empty
+        spec = EnumSpec(7, 28, floors=(1, 3, 8, 5, 4, 11, 22))
+        assert [b for b in oracle_stream(7) if basis_range(b) >= 28 and meets(b, spec.floors)] == []
+        assert list(enumerate_admissible(spec)) == []
 
     @pytest.mark.parametrize("k", range(3, 17))
     def test_prune_does_not_change_descent_streams(self, k):
@@ -329,8 +330,8 @@ class TestFloorStep:
                     (target.suffix_length, target.suffix_min_range),
                 ):
                     spec = EnumSpec(length, min_range, floors=target.floors[:length])
-                    with_prune = list(enumerate_admissible(spec))
-                    assert with_prune == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)
+                    got = list(enumerate_admissible(spec))
+                    assert got == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])

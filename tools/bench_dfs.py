@@ -11,9 +11,9 @@ final level, (11, 48) and (10, 42); `enumerate` and plain cache entries
 still produce them.  Then come the floored streams that the k = 22, 23
 and 26 descents enumerate now, each with the floors of its level
 (`SearchTarget.floors`); the length-12 and 13 streams of k = 26 are where
-the floor step matters beyond k = 23.  Each stream is timed once per round; the median
-over rounds is reported together with the stream size and bases per
-second.
+the floor step matters beyond k = 23.  Each stream is timed once per
+round; the median over rounds is reported together with the stream size
+and bases per second.
 
 Run from the repository root:
     python tools/bench_dfs.py --rounds 5
