@@ -52,6 +52,14 @@ short of a leaf, where most of the work lies: their next elements x are
 tried in place, from the run bound on and under the in-range cap, and
 the final element comes from the exact step.
 
+One walk may take many stems, one after another: the tables that depend
+only on the stream are built once, and each stem gets its own root
+check.  So a stream is extended from the bases of a shorter one
+(`extend`) in one call, as the mitm search does with the longer stream
+of a level.  A basis one element short of the stream's length enters as
+its parent, a node two short whose only x is the basis's last element,
+so its extension is that x's exact step.
+
 A stream may also carry floors, one least range per depth (the split
 bound of the mitm module, applied at every depth).  They define the
 stream rather than prune it, like T: the walk drops a child whose first
@@ -190,20 +198,28 @@ def _floor_step(below: int, rev: int, lo: int, hi: int) -> list[int]:
 
 
 def _iter_admissible(
-    length: int, min_range: int, stem: Sequence[int], prune: bool, floors: Sequence[int] = ()
+    length: int,
+    min_range: int,
+    starts: Iterable[Sequence[int]],
+    prune: bool,
+    floors: Sequence[int] = (),
 ) -> Iterator[Basis]:
-    """DFS core: every admissible extension of `stem` to `length`, with
-    range >= min_range and each prefix of depth d at range >= floors[d - 1],
-    in lexicographic order.
+    """DFS core: every admissible extension of each stem in `starts` to
+    `length`, with range >= min_range and each prefix of depth d at range
+    >= floors[d - 1], stem after stem and in lexicographic order below
+    each.
 
-    A node is (elements, mask, coverage, rev, lo, hi): its children are
-    the next elements in [lo, hi], and rev has bit (lo - 1) - a set for
-    each element a, so a child a gets `(rev << (a - lo + 1)) | 1`.  The
-    root is the stem's parent, with hi capped at its first gap, so an
-    inadmissible stem from `stems` has no children, and a full-length
-    stem is yielded only if its last element is within that gap and it
-    reaches min_range.  With prune=False, `spare` lets a child
-    leave all min_range + 1 values of [0, min_range] open.
+    The tables that depend only on the stream (tmask, spare, floor,
+    floor_mask and the starts of the run bound and the in-range cap) are
+    built once for all the stems.  A node is (elements, mask, coverage,
+    rev, lo, hi): its children are the next elements in [lo, hi], and rev
+    has bit (lo - 1) - a set for each element a, so a child a gets
+    `(rev << (a - lo + 1)) | 1`.  Each stem's root is the stem's parent,
+    with hi capped at its first gap, so an inadmissible stem has no
+    children, and a full-length stem is yielded only if its last element
+    is within that gap and it reaches min_range.  With prune=False,
+    `spare` lets a child leave all min_range + 1 values of [0, min_range]
+    open.
 
     The floors are tested only at a node with holes in [0, floor of its
     children's depth] (`below`), since a child covers all that its parent
@@ -254,94 +270,96 @@ def _iter_admissible(
     cap_from = (min_range + 1) // 2 if prune else float("inf")
     # floor[d] = the least range of the prefix of depth d
     floor = [0, *floors] if floors else [0] * kp1
-    if floors and not reaches_floors(stem, floors):
-        return
     # floor_mask[d] = [0, floor[d]], or 0 where the floor is 0.  floor[0]
     # is 0, so the empty prefix, whose hole 0 is 2 * 0, never takes the
     # floor step
     floor_mask = [(2 << f) - 1 if f else 0 for f in floor]
 
-    *parent, last = stem
-    mask, cov = sumset_bits(parent)
-    first_gap = ((~cov) & (cov + 1)).bit_length() - 1
-    if len(stem) == kp1:
-        c1 = cov | ((mask | (1 << last)) << last)
-        if last <= first_gap and c1 & tmask == tmask:
-            yield tuple(stem)
-        return
-    rev = sum(1 << (last - 1 - a) for a in parent)
-    nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
     two_short = kp1 - 2
-    while nodes:
-        prefix, mask, cov, rev, lo, hi = nodes.pop()
-        depth = len(prefix)
-        spare_child = spare[depth + 1]
-        # P's holes under its children's floor: only a node with some can
-        # have a child below the floor, and only there the floor step runs
-        below = floor_mask[depth]
-        if below:
-            below &= ~cov
-        if depth != two_short:
-            least = floor[depth]
-            children = []
-            for a in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
-                m2 = mask | (1 << a)
-                c2 = cov | (m2 << a)
-                if (tmask & ~c2).bit_count() > spare_child:
-                    continue
-                gap = ((~c2) & (c2 + 1)).bit_length() - 1
-                if below and gap <= least:
-                    continue
-                children.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
-            # the smallest child is walked first
-            nodes.extend(reversed(children))
+    for stem in starts:
+        if floors and not reaches_floors(stem, floors):
             continue
-        if lo < run_below:
-            # run = the longest run of consecutive elements
-            run = 0
-            m = mask
-            while m:
-                m &= m >> 1
-                run += 1
-            start = (min_range - run - 1) // 2
-            if start > lo:
-                rev <<= start - lo
-                lo = start
-        for x in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
-            m1 = mask | (1 << x)
-            c1 = cov | (m1 << x)
-            holes = tmask & ~c1
-            if below and holes & below:
+        *parent, last = stem
+        mask, cov = sumset_bits(parent)
+        first_gap = ((~cov) & (cov + 1)).bit_length() - 1
+        if len(stem) == kp1:
+            c1 = cov | ((mask | (1 << last)) << last)
+            if last <= first_gap and c1 & tmask == tmask:
+                yield tuple(stem)
+            continue
+        rev = sum(1 << (last - 1 - a) for a in parent)
+        nodes = [(tuple(parent), mask, cov, rev, last, min(last, first_gap))]
+        while nodes:
+            prefix, mask, cov, rev, lo, hi = nodes.pop()
+            depth = len(prefix)
+            spare_child = spare[depth + 1]
+            # P's holes under its children's floor: only a node with some can
+            # have a child below the floor, and only there the floor step runs
+            below = floor_mask[depth]
+            if below:
+                below &= ~cov
+            if depth != two_short:
+                least = floor[depth]
+                children = []
+                for a in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
+                    m2 = mask | (1 << a)
+                    c2 = cov | (m2 << a)
+                    if (tmask & ~c2).bit_count() > spare_child:
+                        continue
+                    gap = ((~c2) & (c2 + 1)).bit_length() - 1
+                    if below and gap <= least:
+                        continue
+                    children.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
+                # the smallest child is walked first
+                nodes.extend(reversed(children))
                 continue
-            count = holes.bit_count()
-            if count > spare_child:
-                continue
-            # bit x - a of r1 is set for each element a, x included
-            r1 = (rev << (x - lo + 1)) | 1
-            if x >= cap_from and count > (r1 >> (2 * x + 1 - min_range)).bit_count():
-                continue
-            if prune and holes:
-                g = (holes & -holes).bit_length() - 1
-                h = holes.bit_length() - 1
-                half = 0 if h & 1 else 1 << (h >> 1)
-                cand = ((r1 << (g - x)) & ((r1 << (h - x)) | half)) >> (x + 1)
-            else:
-                # every y up to the first gap
-                cand = (1 << ((c1 ^ (c1 + 1)).bit_length() - 1 - x)) - 1
-            # bit i of cand stands for y = x + 1 + i
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                y = x + low.bit_length()
-                if holes & ((m1 | (1 << y)) << y) == holes:
-                    yield prefix + (x, y)
+            if lo < run_below:
+                # run = the longest run of consecutive elements
+                run = 0
+                m = mask
+                while m:
+                    m &= m >> 1
+                    run += 1
+                start = (min_range - run - 1) // 2
+                if start > lo:
+                    rev <<= start - lo
+                    lo = start
+            for x in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
+                m1 = mask | (1 << x)
+                c1 = cov | (m1 << x)
+                holes = tmask & ~c1
+                if below and holes & below:
+                    continue
+                count = holes.bit_count()
+                if count > spare_child:
+                    continue
+                # bit x - a of r1 is set for each element a, x included
+                r1 = (rev << (x - lo + 1)) | 1
+                if x >= cap_from and count > (r1 >> (2 * x + 1 - min_range)).bit_count():
+                    continue
+                if prune and holes:
+                    g = (holes & -holes).bit_length() - 1
+                    h = holes.bit_length() - 1
+                    half = 0 if h & 1 else 1 << (h >> 1)
+                    cand = ((r1 << (g - x)) & ((r1 << (h - x)) | half)) >> (x + 1)
+                else:
+                    # every y up to the first gap
+                    cand = (1 << ((c1 ^ (c1 + 1)).bit_length() - 1 - x)) - 1
+                # bit i of cand stands for y = x + 1 + i
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    y = x + low.bit_length()
+                    if holes & ((m1 | (1 << y)) << y) == holes:
+                        yield prefix + (x, y)
 
 
 # a stream is split into at least this many stems per worker ...
 STEMS_PER_WORKER = 32
 # ... or this many, once at most SHALLOW_LEVELS levels lie below each
-# stem: the length-10 and 11 streams of the k = 22 descent then send 17
-# jobs to 2 workers, not 65, and the (12, 56) stream keeps its 65
+# stem: the length-10 streams of the k = 22 descent then send 17 jobs to
+# 2 workers, not 65 (its length-11 streams extend them in the calling
+# process), and the plain (12, 56) stream keeps its 65
 SHALLOW_STEMS_PER_WORKER = 8
 SHALLOW_LEVELS = 7
 
@@ -379,8 +397,19 @@ class Workers:
         return self._pool.imap(func, jobs, chunksize=1)
 
 
-def _collect(args: tuple[int, int, Basis, bool, tuple[int, ...]]) -> list[Basis]:
+def _collect(args: tuple[int, int, tuple[Basis], bool, tuple[int, ...]]) -> list[Basis]:
     return list(_iter_admissible(*args))
+
+
+def _stem(elements: Sequence[int], depth: int) -> Basis:
+    """`elements` as a basis tuple, checked to fit under `depth`."""
+    stem = as_basis(elements)
+    if len(stem) > depth + 1:
+        raise ValueError(
+            f"stem {stem} has {len(stem)} elements but the depth "
+            f"{depth} allows at most {depth + 1}"
+        )
+    return stem
 
 
 def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
@@ -388,17 +417,15 @@ def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
     in lexicographic order.  These partition any deeper enumeration."""
     if depth < 1:
         raise ValueError(f"stem depth must be >= 1, got {depth}")
-    below = as_basis(below)
-    if len(below) > depth + 1:
-        raise ValueError(
-            f"stem {below} has {len(below)} elements but the depth "
-            f"{depth} allows at most {depth + 1}"
-        )
-    return list(_iter_admissible(depth, 0, below, False))
+    return list(_iter_admissible(depth, 0, (_stem(below, depth),), False))
 
 
 def enumerate_admissible(
-    spec: EnumSpec, *, prune: bool = True, workers: Workers | None = None
+    spec: EnumSpec,
+    *,
+    prune: bool = True,
+    workers: Workers | None = None,
+    extend: Iterable[Sequence[int]] | None = None,
 ) -> Iterator[Basis]:
     """Yield every admissible basis of spec.length with range >= spec.min_range
     whose prefixes reach spec.floors, in lexicographic order.
@@ -415,11 +442,25 @@ def enumerate_admissible(
     `workers` of more than one process, the stem partitions run in its
     pool and their results merge back in order; without, the stream is
     enumerated in this process.
+
+    `extend`, partial bases of at most spec.length + 1 elements, takes the
+    place of the spec's one stem: the result is then the extensions of
+    each, in the order given, so lexicographic when they are sorted and
+    of one length.  One that is not admissible or misses a floor extends
+    to nothing.  They are walked in this process, whatever `workers`; a
+    basis of length spec.length - 1 only takes the exact last-element
+    step.  A spec with first_elements takes no `extend`.
     """
+    if extend is not None:
+        if spec.first_elements is not None:
+            raise ValueError("extend replaces the stem, so the spec may not fix first_elements")
+        starts = (_stem(b, spec.length) for b in extend)
+        yield from _iter_admissible(spec.length, spec.min_range, starts, prune, spec.floors)
+        return
     stem = spec.stem
     depth = max(len(stem) - 1, 2)
     if workers is None or workers.processes <= 1 or depth >= spec.length:
-        yield from _iter_admissible(spec.length, spec.min_range, stem, prune, spec.floors)
+        yield from _iter_admissible(spec.length, spec.min_range, (stem,), prune, spec.floors)
         return
     # deepen the stems below spec.stem one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level
@@ -431,6 +472,6 @@ def enumerate_admissible(
             break
         depth += 1
         parts = [s for part in parts for s in stems(depth, part)]
-    jobs = [(spec.length, spec.min_range, part, prune, spec.floors) for part in parts]
+    jobs = [(spec.length, spec.min_range, (part,), prune, spec.floors) for part in parts]
     for chunk in workers.imap(_collect, jobs):
         yield from chunk

@@ -34,6 +34,21 @@ J. Kohonen's early pruning for the restricted postage stamp problem.
 At n = 196 the k = 23 prefix stream (11, 50) keeps 14 of the 213 bases
 of range >= 50.
 
+The longer stream of a level extends the shorter one.  Say i = j + 1,
+as at the default pivot for even k.  The shorter stream's min_range is
+the longer stream's floor at depth j: floors[j - 1] == suffix_min_range.
+Both streams share floors[:j], so the first j + 1 elements of every
+basis of the longer stream are a basis of the shorter one, and the
+longer stream is the shorter one with each basis extended by one element,
+in the same order.  So the search makes the shorter stream first and
+hands its bases to the enumeration as stems one element short of a leaf,
+where only the exact last-element step runs; the walk down to depth j
+is not repeated.  This one-element rule covers both i = j + 1 and
+j = i + 1.  Streams that differ by more, which only an explicit pivot
+gives, are both enumerated directly: at k = 20, extending across more
+levels won at a length difference of 3 but took up to 2.2 times the
+direct walk at differences of 5 to 9 (BENCH_16.json).
+
 The pair scan picks a prefix's suffixes by the prefix's first gap.  A
 suffix R can follow P only if min R > max P.  Let g <= n be the first
 gap of P + P.  Then g is not a sum of two elements of P (by definition)
@@ -261,14 +276,17 @@ def search_restricted(
     (consulting / feeding the cache when one is given); pass
     prefixes/suffixes explicitly to seed from a prior run, with or without
     the floors.  When the pivot splits evenly the prefix stream is
-    reused as the suffix stream.  `workers` spreads the enumeration of
-    the streams over its process pool; the pair scan runs in this process.
+    reused as the suffix stream.  When the search makes both streams and
+    one is a single element longer, the shorter stream comes first and the
+    longer one, unless the cache holds it, is extended from it in this
+    process.  `workers` spreads the enumeration of the other streams over
+    its process pool; the pair scan runs in this process.
     """
     t0 = time.perf_counter()
     i, j = target.pivot, target.suffix_length
     half = target.n // 2
 
-    def stream(length: int, min_range: int) -> list[Basis]:
+    def stream(length: int, min_range: int, shorter: list[Basis] | None = None) -> list[Basis]:
         floors = target.floors[:length]
         if cache is not None:
             hit = cache.load(length, min_range, floors)
@@ -277,11 +295,19 @@ def search_restricted(
                     log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
                 return hit
         spec = EnumSpec(length, min_range, floors=floors)
-        bases = list(enumerate_admissible(spec, workers=workers))
+        # a stream extended from the shorter one is walked in this process
+        bases = list(enumerate_admissible(spec, workers=workers, extend=shorter))
         if cache is not None:
             cache.store(length, min_range, bases, floors)
         return bases
 
+    # one element apart, the longer stream is the shorter one extended
+    if prefixes is None and suffixes is None and i == j + 1:
+        suffixes = stream(j, target.suffix_min_range)
+        prefixes = stream(i, target.prefix_min_range, suffixes)
+    elif prefixes is None and suffixes is None and j == i + 1:
+        prefixes = stream(i, target.prefix_min_range)
+        suffixes = stream(j, target.suffix_min_range, prefixes)
     if prefixes is None:
         prefixes = stream(i, target.prefix_min_range)
     if suffixes is None:

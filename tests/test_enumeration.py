@@ -286,6 +286,59 @@ class TestFloors:
             )
 
 
+class TestExtend:
+    """`extend`: the extensions of each given partial basis, in the order
+    given, against the direct stream."""
+
+    @settings(max_examples=300)
+    @given(floored_specs(), st.data())
+    def test_stems_of_a_depth_give_the_stream(self, spec, data):
+        # every admissible stem of one depth below the whole stream, and
+        # the floored shorter stream one element short
+        depth = data.draw(st.integers(min_value=1, max_value=spec.length))
+        whole = EnumSpec(spec.length, spec.min_range, floors=spec.floors)
+        expected = list(enumerate_admissible(whole))
+        assert list(enumerate_admissible(whole, extend=stems(depth))) == expected
+        assert list(enumerate_admissible(whole, extend=stems(depth), prune=False)) == expected
+        floors = spec.floors or (0,) * spec.length
+        if spec.length >= 2 and max(floors[:-1]) == floors[-2]:
+            # the shorter stream's min_range is the floor of its depth
+            shorter = EnumSpec(spec.length - 1, floors[-2], floors=floors[:-1])
+            extended = enumerate_admissible(whole, extend=enumerate_admissible(shorter))
+            assert list(extended) == expected
+
+    def test_no_bases_no_stream(self):
+        assert list(enumerate_admissible(EnumSpec(6, 12), extend=[])) == []
+
+    def test_inadmissible_or_floorless_stems_extend_to_nothing(self):
+        assert list(enumerate_admissible(EnumSpec(3, 6), extend=[(0, 2)])) == []
+        assert list(enumerate_admissible(EnumSpec(3, 6), extend=[(0, 1, 2, 7)])) == []
+        floored = EnumSpec(5, 10, floors=(0, 5, 5, 5, 10))
+        assert list(enumerate_admissible(floored, extend=[(0, 1, 3, 4)])) == []
+
+    def test_order_of_the_bases_is_kept(self):
+        spec = EnumSpec(4, 8)
+        out = list(enumerate_admissible(spec, extend=[(0, 1, 3), (0, 1, 2)]))
+        assert out == [b for b in enumerate_admissible(spec) if b[:3] == (0, 1, 3)] + [
+            b for b in enumerate_admissible(spec) if b[:3] == (0, 1, 2)
+        ]
+
+    def test_rejects_a_spec_with_a_stem(self):
+        with pytest.raises(ValueError, match="first_elements"):
+            list(enumerate_admissible(EnumSpec(4, 8, (0, 1)), extend=[(0, 1, 2)]))
+
+    def test_rejects_a_basis_longer_than_the_stream(self):
+        with pytest.raises(ValueError, match=r"stem \(0, 1, 2\) .* depth 1"):
+            list(enumerate_admissible(EnumSpec(1), extend=[(0, 1), (0, 1, 2)]))
+
+    def test_walks_in_this_process(self, started_pools):
+        spec = EnumSpec(7, 16)
+        with Workers(2) as workers:
+            out = list(enumerate_admissible(spec, workers=workers, extend=stems(3)))
+        assert out == list(enumerate_admissible(spec))
+        assert started_pools == []
+
+
 class TestFloorStep:
     """The floor step: a node with holes under its children's floor reads
     its next elements off its first gap g and the largest such hole h."""

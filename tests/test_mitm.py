@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from addbasis import enumeration, mitm
 from addbasis.catalog import DEFAULT, CatalogMissingError, PrefixCache
 from addbasis.core import basis_range, classify, mirror
 from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible
@@ -332,6 +333,148 @@ class TestSearch:
         assert any("cache hit" in m for m in messages)
 
 
+def one_longer_levels(k, pivots):
+    """The descent levels of k at the given pivots whose streams differ
+    in length by one element, as (target, shorter, longer), each stream a
+    (length, min_range) with the target's floors."""
+    for target in descent_levels(k, pivots):
+        prefix = (target.pivot, target.prefix_min_range)
+        suffix = (target.suffix_length, target.suffix_min_range)
+        if prefix[0] == suffix[0] + 1:
+            yield target, suffix, prefix
+        elif suffix[0] == prefix[0] + 1:
+            yield target, prefix, suffix
+
+
+def floored_spec(target, length, min_range):
+    return EnumSpec(length, min_range, floors=target.floors[:length])
+
+
+class TestExtension:
+    """The longer stream of a level, extended by one element from the
+    shorter one, against direct enumeration of the same EnumSpec: the
+    shorter stream's min_range is the longer one's floor at its depth,
+    so every longer basis begins with a shorter one."""
+
+    @staticmethod
+    def check(k, pivots, workers=None, prune=True):
+        levels = 0
+        for target, shorter, longer in one_longer_levels(k, pivots):
+            short_spec = floored_spec(target, *shorter)
+            long_spec = floored_spec(target, *longer)
+            assert long_spec.floors[shorter[0] - 1] == short_spec.min_range
+            short = list(enumerate_admissible(short_spec, prune=prune, workers=workers))
+            extended = list(enumerate_admissible(long_spec, prune=prune, extend=short))
+            assert extended == list(enumerate_admissible(long_spec)), target
+            levels += 1
+        return levels
+
+    @pytest.mark.parametrize("k", range(4, 25, 2))
+    def test_every_even_descent_level(self, k):
+        assert self.check(k, [None]) > 0
+
+    @pytest.mark.parametrize("k", range(4, 14))
+    def test_every_one_longer_pivot(self, k):
+        # |i - j| = 1 needs an even k: pivots k/2 and k/2 - 1
+        pivots = [p for p in range(1, k - 1) if abs(2 * p - (k - 1)) == 1]
+        assert (len(pivots) == 2) == (k % 2 == 0)
+        with Workers(2) as workers:
+            levels = self.check(k, pivots) + self.check(k, pivots, workers)
+        assert (levels > 0) == (k % 2 == 0)
+
+    @pytest.mark.parametrize("k", range(4, 13, 2))
+    def test_prune_off(self, k):
+        assert self.check(k, [None], prune=False) > 0
+
+    @pytest.mark.parametrize("k", range(4, 14))
+    def test_search_equals_direct_streams(self, k):
+        # search_restricted extends the longer stream itself; the direct
+        # streams passed in give the same report and the same counts
+        for pivot in range(1, k - 1):
+            for target in descent_levels(k, [pivot]):
+                i, j = target.pivot, target.suffix_length
+                prefixes = list(enumerate_admissible(floored_spec(target, i, target.prefix_min_range)))
+                suffixes = list(enumerate_admissible(floored_spec(target, j, target.suffix_min_range)))
+                direct = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+                report = search_restricted(target)
+                assert report == direct, target
+                assert (report.prefix_count, report.suffix_count) == (len(prefixes), len(suffixes))
+
+    def test_empty_shorter_stream_walks_no_node(self, monkeypatch):
+        # k = 12, n = 68: both floored streams are empty, so the longer
+        # (6, .) stream is extended from no stem at all
+        target = SearchTarget.create(12, 68)
+        assert (target.pivot, target.suffix_length) == (6, 5)
+        walked = []
+        real = enumeration._iter_admissible
+
+        def spy(length, min_range, starts, prune, floors=()):
+            starts = list(starts)
+            walked.append((length, len(starts)))
+            return real(length, min_range, starts, prune, floors)
+
+        monkeypatch.setattr(enumeration, "_iter_admissible", spy)
+        report = search_restricted(target)
+        assert report.bases == () and report.prefix_count == report.suffix_count == 0
+        assert walked == [(5, 1), (6, 0)]
+
+
+class TestExtensionCache:
+    """A cache that holds only one of the two streams of a level whose
+    streams differ by one element gives the report of a cold search."""
+
+    TARGET = SearchTarget.create(12, 64)
+    SHORT = (5, TARGET.suffix_min_range, TARGET.floors[:5])
+    LONG = (6, TARGET.prefix_min_range, TARGET.floors[:6])
+
+    @pytest.fixture
+    def enum_calls(self, monkeypatch):
+        """The specs of the streams the search enumerates, in order, and
+        whether each was extended."""
+        calls = []
+        real = mitm.enumerate_admissible
+
+        def spy(spec, **kwargs):
+            calls.append((spec.length, kwargs.get("extend") is not None))
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(mitm, "enumerate_admissible", spy)
+        return calls
+
+    @staticmethod
+    def direct(length, min_range, floors):
+        return list(enumerate_admissible(EnumSpec(length, min_range, floors=floors)))
+
+    def test_shorter_stream_cached(self, tmp_path, enum_calls):
+        cold = search_restricted(self.TARGET)
+        enum_calls.clear()
+        cache = PrefixCache(tmp_path)
+        length, min_range, floors = self.SHORT
+        cache.store(length, min_range, self.direct(*self.SHORT), floors)
+        assert search_restricted(self.TARGET, cache=cache) == cold
+        assert enum_calls == [(6, True)]
+        # the extended stream is stored under its floored key
+        length, min_range, floors = self.LONG
+        assert cache.path_for(length, min_range, floors).exists()
+        assert cache.load(length, min_range, floors) == self.direct(*self.LONG)
+
+    @pytest.mark.parametrize("floored", [True, False])
+    def test_longer_stream_cached(self, tmp_path, enum_calls, floored):
+        cold = search_restricted(self.TARGET)
+        enum_calls.clear()
+        cache = PrefixCache(tmp_path)
+        length, min_range, floors = self.LONG
+        if floored:
+            cache.store(length, min_range, self.direct(*self.LONG), floors)
+        else:
+            cache.store(length, min_range, enumerate_admissible(EnumSpec(length, min_range)))
+        messages = []
+        assert search_restricted(self.TARGET, cache=cache, log=messages.append) == cold
+        # the hit is used as it is: only the shorter stream is enumerated
+        assert enum_calls == [(5, False)]
+        assert any(f"bases of length {length}" in m and "cache hit" in m for m in messages)
+
+
 class TestPairScan:
     """The indexed pair scan against a naive all-pairs gluing, on the
     streams each descent level enumerates and on random streams."""
@@ -381,6 +524,14 @@ class TestFindExtremal:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             find_extremal_restricted(2)
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("k", range(31, 38))
+    def test_record_lengths_31_to_37(self, k, restricted_fixtures):
+        # serial, seconds to minutes each: k = 37 is the longest
+        report = find_extremal_restricted(k)
+        assert report.n == restricted_fixtures[k][0].range
+        assert report.bases == tuple(sorted(f.basis for f in restricted_fixtures[k]))
 
     def test_logs_progress(self):
         messages = []
