@@ -65,7 +65,24 @@ the pairing upper bound (n2* is even):
     n2*(2r)   <= 4 n2(r-1) + 4
     n2*(2r+1) <= 2 n2(r-1) + 2 n2(r) + 4
 
-since the first empty level certifies every larger even n empty as well.
+and the first level that holds a basis is extremal.
+
+The descent enumerates the streams once, not at every level.  The floors
+and both least ranges only rise with n, so a level's stream of a given
+length holds that of every higher level with the same pivot, and
+filtered by the higher level's floors and least range it is that
+level's stream.  So the descent runs in rounds: a round enumerates the
+streams of its base level, and every level from the top of the round
+down to the base takes its streams by filtering them (each basis enters
+the walk as a full-length stem, which takes only the root check).  The
+first base is n2*(k) from the catalog, when it is on record, even and at
+most the top level, and else the top level; later bases step down by
+2, 4, 8, ...: n0, n0 - 2, n0 - 6, n0 - 14, ...  At k = 23 the descent walks the streams of n = 196 once
+and filters those of n = 204..198 from them.  Every level is still
+scanned in turn from the top, so the report does not depend on the
+catalog value: one too high finds no basis down to it and steps on, and
+one too low costs only time, since the true level lies above it.  The
+catalog comparison of the `extremal` command stays an independent check.
 """
 
 from __future__ import annotations
@@ -73,7 +90,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
 from .core import MAX_ELEMENT, Basis, BasisClass, classify, mirror, sumset_bits
@@ -261,6 +278,63 @@ def _scan_pairs(args) -> list[Basis]:
     return found
 
 
+def _level_streams(
+    target: SearchTarget,
+    prefixes: Sequence[Basis] | None = None,
+    suffixes: Sequence[Basis] | None = None,
+    *,
+    lower: tuple[Sequence[Basis], Sequence[Basis]] | None = None,
+    workers: Workers | None = None,
+    cache: PrefixCache | None = None,
+    log: Log | None = None,
+) -> tuple[Sequence[Basis], Sequence[Basis]]:
+    """The prefix and suffix streams of a level, with its floors: those
+    given, and the others made here, each by one `enumerate_admissible`
+    call.  An even split (i == j) shares one stream.
+
+    `lower` holds the (prefixes, suffixes) of a lower level of the same k
+    and pivot.  The floors and least ranges only rise with n, so each of
+    its streams holds this level's stream of the same length, and each
+    stream is made by filtering it: its bases enter the walk as
+    full-length stems, which take only the walk's root check.  Without
+    `lower`, a stream comes from the cache or is enumerated (and stored),
+    through `workers`; when both are made and one is a single element
+    longer, the shorter comes first and the longer one, unless the cache
+    holds it, is extended from it in this process.
+    """
+    i, j = target.pivot, target.suffix_length
+
+    def stream(length: int, min_range: int, shorter: list[Basis] | None = None) -> list[Basis]:
+        floors = target.floors[:length]
+        spec = EnumSpec(length, min_range, floors=floors)
+        if lower is not None:
+            return list(enumerate_admissible(spec, extend=lower[0] if length == i else lower[1]))
+        if cache is not None:
+            hit = cache.load(length, min_range, floors)
+            if hit is not None:
+                if log:
+                    log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
+                return hit
+        # a stream extended from the shorter one is walked in this process
+        bases = list(enumerate_admissible(spec, workers=workers, extend=shorter))
+        if cache is not None:
+            cache.store(length, min_range, bases, floors)
+        return bases
+
+    # one element apart, the longer stream is the shorter one extended
+    if prefixes is None and suffixes is None and i == j + 1:
+        suffixes = stream(j, target.suffix_min_range)
+        prefixes = stream(i, target.prefix_min_range, suffixes)
+    elif prefixes is None and suffixes is None and j == i + 1:
+        prefixes = stream(i, target.prefix_min_range)
+        suffixes = stream(j, target.suffix_min_range, prefixes)
+    if prefixes is None:
+        prefixes = stream(i, target.prefix_min_range)
+    if suffixes is None:
+        suffixes = prefixes if i == j else stream(j, target.suffix_min_range)
+    return prefixes, suffixes
+
+
 def search_restricted(
     target: SearchTarget,
     *,
@@ -283,46 +357,18 @@ def search_restricted(
     its process pool; the pair scan runs in this process.
     """
     t0 = time.perf_counter()
-    i, j = target.pivot, target.suffix_length
-    half = target.n // 2
-
-    def stream(length: int, min_range: int, shorter: list[Basis] | None = None) -> list[Basis]:
-        floors = target.floors[:length]
-        if cache is not None:
-            hit = cache.load(length, min_range, floors)
-            if hit is not None:
-                if log:
-                    log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
-                return hit
-        spec = EnumSpec(length, min_range, floors=floors)
-        # a stream extended from the shorter one is walked in this process
-        bases = list(enumerate_admissible(spec, workers=workers, extend=shorter))
-        if cache is not None:
-            cache.store(length, min_range, bases, floors)
-        return bases
-
-    # one element apart, the longer stream is the shorter one extended
-    if prefixes is None and suffixes is None and i == j + 1:
-        suffixes = stream(j, target.suffix_min_range)
-        prefixes = stream(i, target.prefix_min_range, suffixes)
-    elif prefixes is None and suffixes is None and j == i + 1:
-        prefixes = stream(i, target.prefix_min_range)
-        suffixes = stream(j, target.suffix_min_range, prefixes)
-    if prefixes is None:
-        prefixes = stream(i, target.prefix_min_range)
-    if suffixes is None:
-        if i == j:
-            suffixes = prefixes
-        else:
-            suffixes = stream(j, target.suffix_min_range)
+    if prefixes is None or suffixes is None:
+        prefixes, suffixes = _level_streams(
+            target, prefixes, suffixes, workers=workers, cache=cache, log=log
+        )
     if log:
         log(
-            f"k={target.k} n={target.n} pivot={i}: "
+            f"k={target.k} n={target.n} pivot={target.pivot}: "
             f"{len(prefixes)} prefixes, {len(suffixes)} suffixes"
         )
 
     full = (1 << (target.n + 1)) - 1
-    suffix_records = _suffix_records(suffixes, half)
+    suffix_records = _suffix_records(suffixes, target.n // 2)
     prefix_records = _prefix_records(prefixes)
 
     found = _scan_pairs((prefix_records, suffix_records, full))
@@ -330,7 +376,7 @@ def search_restricted(
     report = SearchReport(
         k=target.k,
         n=target.n,
-        pivot=i,
+        pivot=target.pivot,
         bases=tuple(sorted(found)),
         prefix_count=len(prefixes),
         suffix_count=len(suffixes),
@@ -353,6 +399,19 @@ def _certainly_empty(target: SearchTarget, table: CatalogTable) -> bool:
     return False
 
 
+def _schedule(top: int, first: int) -> Iterator[tuple[int, int]]:
+    """(high, base) per round of the descent, from the top level down to
+    n = 2: the levels high, high - 2, ..., base are scanned from the
+    streams of the base level.  The bases are first, first - 2,
+    first - 6, first - 14, ..., so each round after the second covers
+    twice the levels of the one before."""
+    high, base = top, first
+    while high >= 2:
+        base = max(base, 2)
+        yield high, base
+        high, base = base - 2, 2 * base - first - 2
+
+
 def find_extremal_restricted(
     k: int,
     pivot: int | None = None,
@@ -366,25 +425,61 @@ def find_extremal_restricted(
 
     Walks even n downward from upper_bound_restricted(k); the first
     non-empty level is extremal.  Levels whose stream constraints are
-    impossible by the catalog are skipped without enumeration.  With
-    processes > 1 every level enumerates in the pool of one `Workers`.
+    impossible by the catalog are skipped without enumeration.
+
+    The streams are enumerated once per round of `_schedule`, at its
+    base level, and every higher level of the round filters them
+    (`_level_streams` with `lower`).  The first base is n2*(k) from
+    `table.restricted` when that is even and at most the top level,
+    else the top level.  A base that is too high only adds rounds, and
+    one that is too low only costs time, so the report does not depend
+    on the hint.  With processes > 1 the base streams enumerate in the
+    pool of one `Workers`; the filters run in this process.
     """
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
     bound = upper_bound_restricted(k, table)
+    top = bound - bound % 2
+    hint = table.restricted.get(k)
+    hinted = hint is not None and hint % 2 == 0 and hint <= top
+    first = hint if hinted else top
     with Workers(processes) as workers:
-        for n in range(bound - bound % 2, 1, -2):
-            target = SearchTarget.create(k, n, pivot, table)
-            if _certainly_empty(target, table):
-                if log:
-                    log(f"k={k} n={n}: infeasible stream constraints, skipped")
-                continue
-            report = search_restricted(
-                target,
-                workers=workers,
-                cache=cache,
-                log=log,
-            )
-            if report.bases:
+        for high, base in _schedule(top, first):
+            streams = None
+            scanned: list[int] = []
+            for n in range(high, base - 1, -2):
+                target = SearchTarget.create(k, n, pivot, table)
+                if _certainly_empty(target, table):
+                    if log:
+                        log(f"k={k} n={n}: infeasible stream constraints, skipped")
+                    continue
+                if streams is None:
+                    t0 = time.perf_counter()
+                    streams = _level_streams(
+                        SearchTarget.create(k, base, pivot, table),
+                        workers=workers,
+                        cache=cache,
+                        log=log,
+                    )
+                    elapsed = time.perf_counter() - t0
+                prefixes, suffixes = streams if n == base else _level_streams(target, lower=streams)
+                scanned.append(n)
+                report = search_restricted(target, prefixes=prefixes, suffixes=suffixes, log=log)
+                if report.bases:
+                    break
+            else:
+                report = None
+            if log and streams is not None:
+                why = "catalog hint" if hinted and base == first else "doubling schedule"
+                above = [m for m in scanned if m != base]
+                if not above:
+                    levels = "no level"
+                elif len(above) == 1:
+                    levels = f"n={above[0]}"
+                else:
+                    levels = f"n={above[0]}..{above[-1]}"
+                log(f"k={k}: streams enumerated at n={base} ({why}, {elapsed:.2f}s); "
+                    f"{levels} filtered from them")
+            if report is not None:
                 return report
     raise RuntimeError(f"no restricted basis of length {k} found above range 2")

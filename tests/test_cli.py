@@ -154,16 +154,16 @@ class TestSearch:
         assert out2 == out1
         assert "cache hit" in err
 
-    @pytest.mark.parametrize("order", [(22, 23), (23, 22)])
+    @pytest.mark.parametrize("order", [(12, 14), (14, 12)])
     def test_descents_share_a_cache_dir(self, capsys, tmp_path, order):
-        # both descents enumerate (11, 50), (11, 51) and (11, 52), each
-        # with floors of its own, so neither may answer the other
+        # both descents enumerate (6, 18) at their base levels, n = 64 and
+        # n = 80, each with floors of its own, so neither may answer the other
         uncached = {k: run(capsys, "extremal", "-k", str(k), "--threads", "1")[:2] for k in order}
         cache_dir = tmp_path / "cache"
         for k in order:
             assert run(capsys, "extremal", "-k", str(k), "--threads", "1",
                        "--cache-dir", str(cache_dir))[:2] == uncached[k]
-        assert len(list(cache_dir.glob("prefixes-k11-r50-f*.txt"))) == 2
+        assert len(list(cache_dir.glob("prefixes-k6-r18-f*.txt"))) == 2
         for k in order:
             code, out, err = run(capsys, "extremal", "-k", str(k), "--threads", "1",
                                  "--cache-dir", str(cache_dir))

@@ -441,7 +441,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("threshold,size", [(54, 4), (53, 5), (52, 35), (51, 56), (50, 213)])
     def test_descent_stream_sizes(self, threshold, size):
-        # the five streams find_extremal_restricted(23) enumerates, 313 bases
+        # the plain (11, .) streams of the five levels of the k = 23 descent,
+        # n = 204..196, 313 bases; the descent walks only n = 196, floored
         assert sum(1 for _ in enumerate_admissible(EnumSpec(11, threshold))) == size
 
     def test_stem_restricts_the_stream(self):

@@ -8,13 +8,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from addbasis import enumeration, mitm
-from addbasis.catalog import DEFAULT, CatalogMissingError, PrefixCache
+from addbasis.catalog import DEFAULT, CatalogMissingError, CatalogTable, PrefixCache
 from addbasis.core import basis_range, classify, mirror
 from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible
 from addbasis.mitm import (
     SearchReport,
     SearchTarget,
     _certainly_empty,
+    _level_streams,
+    _schedule,
     find_extremal_restricted,
     search_restricted,
     upper_bound_restricted,
@@ -545,6 +547,105 @@ class TestFindExtremal:
         assert not _certainly_empty(SearchTarget.create(9, 40, 1), DEFAULT)
 
 
+def stepwise_descent(k, pivot=None, table=DEFAULT):
+    """The descent with each level's streams enumerated directly, top
+    down: the reference for the filtered one."""
+    bound = upper_bound_restricted(k, table)
+    for n in range(bound - bound % 2, 1, -2):
+        target = SearchTarget.create(k, n, pivot, table)
+        if not _certainly_empty(target, table):
+            report = search_restricted(target)
+            if report.bases:
+                return report
+
+
+class TestFilteredDescent:
+    """The descent enumerates the streams of each round's base level and
+    filters every higher level's streams from them; the floors only rise
+    with n, so a filtered stream is the direct one."""
+
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_filtered_streams_equal_direct(self, k):
+        # every level, filtered from the final one, at the default pivot
+        # and at every pivot up to k = 13
+        for pivot in range(1, k - 1) if k <= 13 else [None]:
+            lower = _level_streams(SearchTarget.create(k, DEFAULT.known_restricted_range(k), pivot))
+            for target in descent_levels(k, [pivot]):
+                direct = tuple(
+                    list(enumerate_admissible(floored_spec(target, length, min_range)))
+                    for length, min_range in (
+                        (target.pivot, target.prefix_min_range),
+                        (target.suffix_length, target.suffix_min_range),
+                    )
+                )
+                assert _level_streams(target, lower=lower) == direct, target
+
+    @pytest.mark.parametrize("k", [12, 17, 20, 23])
+    @pytest.mark.parametrize("hint", [2, 6, 1000, -2, -8, 1, None], ids=str)
+    def test_hint_does_not_change_the_report(self, k, hint):
+        # too high, above the top level, too low, odd, and missing
+        restricted = dict(DEFAULT.restricted)
+        if hint is None:
+            del restricted[k]
+        else:
+            restricted[k] += hint
+        report = find_extremal_restricted(k, table=CatalogTable(DEFAULT.unrestricted, restricted))
+        expected = find_extremal_restricted(k)
+        assert report == expected
+        assert (report.prefix_count, report.suffix_count) == (expected.prefix_count, expected.suffix_count)
+
+    @pytest.mark.parametrize("k", [3, 12, 23])
+    def test_exact_hint_walks_only_the_base_level(self, k, monkeypatch):
+        calls = []
+        real = mitm.enumerate_admissible
+
+        def spy(spec, **kwargs):
+            calls.append((spec, kwargs.get("extend") is not None))
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(mitm, "enumerate_admissible", spy)
+        report = find_extremal_restricted(k)
+        base = SearchTarget.create(k, report.n)
+        j = base.suffix_length
+        # the shorter stream of the base level, or its one stream for odd k
+        assert [spec for spec, extended in calls if not extended] == [
+            EnumSpec(j, base.suffix_min_range, floors=base.floors[:j])
+        ]
+        levels = (upper_bound_restricted(k) - report.n) // 2 + 1
+        assert len(calls) == levels * (1 if k % 2 else 2)
+
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_equals_the_stepwise_descent(self, k):
+        pivots = range(1, k - 1) if k <= 13 else [None]
+        for pivot in pivots:
+            report = find_extremal_restricted(k, pivot)
+            expected = stepwise_descent(k, pivot)
+            assert report == expected, pivot
+            assert (report.prefix_count, report.suffix_count) == (expected.prefix_count, expected.suffix_count)
+
+    @pytest.mark.parametrize("k", range(27, 30))
+    def test_published_lengths_27_to_29(self, k, restricted_fixtures):
+        # k = 11..26 and 30 are acceptance criteria 3 and 4
+        report = find_extremal_restricted(k)
+        assert report.n == restricted_fixtures[k][0].range
+        assert report.bases == tuple(sorted(f.basis for f in restricted_fixtures[k]))
+
+    @pytest.mark.parametrize("top,first", [(30, 20), (30, 30), (30, 2), (204, 196), (8, 8)])
+    def test_rounds_cover_each_level_once(self, top, first):
+        rounds = list(_schedule(top, first))
+        assert [n for high, base in rounds for n in range(high, base - 1, -2)] == list(range(top, 1, -2))
+        bases = [base for _, base in rounds]
+        assert bases == [max(2, first - 2 ** (t + 1) + 2) for t in range(len(rounds))]
+
+    def test_logs_each_base_level(self):
+        messages = []
+        find_extremal_restricted(23, log=messages.append)
+        notes = [m for m in messages if "streams enumerated" in m]
+        assert len(notes) == 1
+        assert notes[0].startswith("k=23: streams enumerated at n=196 (catalog hint, ")
+        assert notes[0].endswith("; n=204..198 filtered from them")
+
+
 class TestOnePool:
     """At most one process pool per search, started only when a stream
     is enumerated, and gone when the search ends."""
@@ -554,7 +655,8 @@ class TestOnePool:
     TARGET = SearchTarget.create(12, 64)
 
     def test_descent_starts_one_pool(self, started_pools):
-        # 3 levels, 6 streams, all enumerated in the one pool
+        # 3 levels, whose streams are filtered from those of the last; only
+        # its shorter stream is walked, in the one pool
         find_extremal_restricted(12, processes=2)
         assert len(started_pools) == 1
 

@@ -1,7 +1,7 @@
 """Time the n2* descent with and without a process pool.
 
 Each run is one `find_extremal_restricted(K, processes=N)` call, for
-K = 20, 21, 22 and N = 1, 2, serial-first within a round.  For each run
+K = 20, 21, 22, 26, 28 and N = 1, 2, serial-first within a round.  For each run
 it reports the wall seconds (`time.perf_counter`), this process's own
 CPU seconds and the CPU seconds of the pool workers it reaped
 (`resource.getrusage`, RUSAGE_SELF and RUSAGE_CHILDREN), and the number
@@ -33,7 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from addbasis.mitm import find_extremal_restricted  # noqa: E402
 
-LENGTHS = (20, 21, 22)
+# the short descents, where a pool's start-up can outweigh its gain, and
+# the longer ones, where 2 workers win
+LENGTHS = (20, 21, 22, 26, 28)
 PROCESSES = (1, 2)
 
 
