@@ -47,10 +47,12 @@ One loop walks the tree, over a stack of nodes that each carry their
 elements, element mask, sum coverage and the interval of their next
 elements.  It starts at the parent of the stem, with the stem's last
 element as the only child, so a stem of any depth enters the walk as one
-more node.  The last two levels are unrolled at the nodes two elements
-short of a leaf, where most of the work lies: their next elements x are
-tried in place, from the run bound on and under the in-range cap, and
-the final element comes from the exact step.
+more node.  A node pushes each child that passes its tests straight onto
+the stack, largest first, so the smallest is popped first and the walk
+stays in lexicographic order.  The last two levels are unrolled at the
+nodes two elements short of a leaf, where most of the work lies: their
+next elements x are tried in place, from the run bound on and under the
+in-range cap, and the final element comes from the exact step.
 
 One walk may take many stems, one after another: the tables that depend
 only on the stream are built once, and each stem gets its own root
@@ -73,15 +75,18 @@ h the largest.  A child a that reaches the floor covers both, and
 neither is a sum within P.  The child exceeds max P, and g <= 2 max P + 1
 < 2a, so g - a must be an element of P; h - a must be one unless h = 2a.
 These are the two shifts of the exact last-element step, so P's
-children are read off them at every depth with a floor, and so are the
-x of a node two short, against the floor of their depth, once the run
-bound has moved the start of the x loop.  The step drops only children
-that the floor test would drop, so the nodes and the stream stay the
-same; every child it keeps still gets the counting cut and the floor
-test.  A node without a hole under the floor, which includes every node
-of a depth whose floor is 0, has no step to take and tries each next
-element in turn.  floor[0] is 0, so the empty prefix, where g = 0 = 2 * 0,
-never takes the step.
+children are read off them, as one mask, at every depth with a floor,
+and so are the x of a node two short, against the floor of their depth,
+once the run bound has moved the start of the x loop.  The step drops
+only children that the floor test would drop, so the nodes and the
+stream stay the same; every child it keeps still gets the floor test,
+first, since most of them fail it, and then the counting cut.  A child
+covers all that P covers, so it passes the floor test exactly when it
+covers every hole of P under the floor, and its own first gap is worked
+out only once it has passed.  A node without a hole under the floor,
+which includes every node of a depth whose floor is 0, has no step to
+take and tries each next element in turn.  floor[0] is 0, so the empty
+prefix, where g = 0 = 2 * 0, never takes the step.
 
 The search below T is exact either way; pruning changes the work, never
 the stream.  Long runs can be partitioned by fixed stems (all admissible
@@ -174,27 +179,29 @@ def _stem_admissible(stem: Sequence[int]) -> bool:
     return True
 
 
-def _floor_step(below: int, rev: int, lo: int, hi: int) -> list[int]:
-    """The floor step at a node P: its next elements in [lo, hi] that can
+def _floor_step(below: int, rev: int, lo: int, hi: int) -> int:
+    """The floor step at a node P: its next elements a in [lo, hi] that can
     cover both P's first gap g and h, the largest of `below`, P's holes
-    under the floor of its children's depth.  rev has bit (lo - 1) - e set
-    for each element e of P, so bit a of `rev << (g - lo + 1)` is set
-    exactly when g - a is an element, and of `rev << (h - lo + 1)` when
-    h - a is one; the `half` bit adds a = h/2."""
+    under the floor of its children's depth, as a mask with bit a - lo set
+    for each.  rev has bit (lo - 1) - e set for each element e of P, so
+    bit a of `rev << (g - lo + 1)` is set exactly when g - a is an
+    element, and of `rev << (h - lo + 1)` when h - a is one; the `half`
+    bit adds a = h/2."""
     if hi < lo:
-        return []
+        return 0
     g = (below & -below).bit_length() - 1
     h = below.bit_length() - 1
     half = 0 if h & 1 else 1 << (h >> 1)
-    # bit i stands for a = lo + i, up to a = hi
     cand = ((rev << (g - lo + 1)) & ((rev << (h - lo + 1)) | half)) >> lo
-    cand &= (2 << (hi - lo)) - 1
-    out = []
+    return cand & ((2 << (hi - lo)) - 1)
+
+
+def _ascending(cand: int, lo: int) -> Iterator[int]:
+    """The a with bit a - lo of cand set, smallest first."""
     while cand:
         low = cand & -cand
         cand ^= low
-        out.append(lo - 1 + low.bit_length())
-    return out
+        yield lo - 1 + low.bit_length()
 
 
 def _iter_admissible(
@@ -223,11 +230,18 @@ def _iter_admissible(
 
     The floors are tested only at a node with holes in [0, floor of its
     children's depth] (`below`), since a child covers all that its parent
-    covers.  There a child whose first gap is at most the floor is
-    dropped, and so is an x two short that leaves a hole at or below its
-    floor; every floor is at most min_range, so that hole is in [0, T].
+    covers.  There a child that leaves a hole of `below` open, so that
+    its first gap is at most the floor, is dropped, and so is an x two
+    short; every floor is at most min_range, so that hole is in [0, T].
     The root drops a stem that has a prefix below its floor, so the stems
     of a parallel run give exactly the serial stream.
+
+    A node's children are pushed straight onto the stack, largest first,
+    so the smallest is popped first.  Where the floor step runs, they are
+    the bits of its mask, read from the top bit down, and each gets the
+    floor test before the counting cut and its first gap after both;
+    elsewhere they are [lo, hi], from hi down, with the counting cut
+    first.
 
     The children x of a node two short are tried in place, with
     T = min_range, `holes = tmask & ~c1`, the holes in [0, T] that x
@@ -237,8 +251,10 @@ def _iter_admissible(
     - The counting cut, on every child: it may leave at most
       `spare_child` holes in [0, T].
     - The floor step, at a node with holes in [0, floor of its children's
-      depth] (`below`): `_floor_step` keeps the children that can cover
-      the first and the largest of them; other nodes try [lo, hi] in turn.
+      depth] (`below`): the mask of `_floor_step` keeps the children that
+      can cover the first and the largest of them; other nodes try
+      [lo, hi] in turn.  An x two short is read off the mask from the
+      lowest bit up, and gets the floor test before its holes are built.
     - The run bound: the x loop starts at (T - L - 1) // 2, L being the
       node's longest run, and rev is shifted by the x it skips.  L is
       counted only when the bound can bind: L >= 1, so the start is at
@@ -299,9 +315,24 @@ def _iter_admissible(
             if below:
                 below &= ~cov
             if depth != two_short:
+                # children are pushed largest first, so the smallest is popped first
+                if below and prune:
+                    cand = _floor_step(below, rev, lo, hi)
+                    while cand:
+                        i = cand.bit_length() - 1
+                        cand ^= 1 << i
+                        a = lo + i
+                        m2 = mask | (1 << a)
+                        c2 = cov | (m2 << a)
+                        # the floor test: c2 holds cov, so a hole of c2 in
+                        # below is a first gap at or under the floor
+                        if below & ~c2 or (tmask & ~c2).bit_count() > spare_child:
+                            continue
+                        gap = ((~c2) & (c2 + 1)).bit_length() - 1
+                        nodes.append((prefix + (a,), m2, c2, (rev << (i + 1)) | 1, a + 1, gap))
+                    continue
                 least = floor[depth]
-                children = []
-                for a in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
+                for a in range(hi, lo - 1, -1):
                     m2 = mask | (1 << a)
                     c2 = cov | (m2 << a)
                     if (tmask & ~c2).bit_count() > spare_child:
@@ -309,9 +340,7 @@ def _iter_admissible(
                     gap = ((~c2) & (c2 + 1)).bit_length() - 1
                     if below and gap <= least:
                         continue
-                    children.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
-                # the smallest child is walked first
-                nodes.extend(reversed(children))
+                    nodes.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
                 continue
             if lo < run_below:
                 # run = the longest run of consecutive elements
@@ -324,12 +353,12 @@ def _iter_admissible(
                 if start > lo:
                     rev <<= start - lo
                     lo = start
-            for x in _floor_step(below, rev, lo, hi) if below and prune else range(lo, hi + 1):
+            for x in _ascending(_floor_step(below, rev, lo, hi), lo) if below and prune else range(lo, hi + 1):
                 m1 = mask | (1 << x)
                 c1 = cov | (m1 << x)
-                holes = tmask & ~c1
-                if below and holes & below:
+                if below and below & ~c1:
                     continue
+                holes = tmask & ~c1
                 count = holes.bit_count()
                 if count > spare_child:
                     continue

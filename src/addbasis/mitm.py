@@ -77,12 +77,13 @@ down to the base takes its streams by filtering them (each basis enters
 the walk as a full-length stem, which takes only the root check).  The
 first base is n2*(k) from the catalog, when it is on record, even and at
 most the top level, and else the top level; later bases step down by
-2, 4, 8, ...: n0, n0 - 2, n0 - 6, n0 - 14, ...  At k = 23 the descent walks the streams of n = 196 once
-and filters those of n = 204..198 from them.  Every level is still
-scanned in turn from the top, so the report does not depend on the
-catalog value: one too high finds no basis down to it and steps on, and
-one too low costs only time, since the true level lies above it.  The
-catalog comparison of the `extremal` command stays an independent check.
+2, 4, 8, ...: n0, n0 - 2, n0 - 6, n0 - 14, ...  At k = 23 the descent
+walks the streams of n = 196 once and filters those of n = 204..198
+from them.  Every level is still scanned in turn from the top, so the
+report does not depend on the catalog value: one too high finds no
+basis down to it and steps on, and one too low costs only time, since
+the true level lies above it.  The catalog comparison of the `extremal`
+command stays an independent check.
 """
 
 from __future__ import annotations

@@ -358,10 +358,14 @@ class TestFloorStep:
         below = ~cov & ((2 << floor) - 1)
         rev = sum(1 << (lo - 1 - e) for e in node)
         g, h = hi, below.bit_length() - 1
-        got = _floor_step(below, rev, lo, hi)
-        assert got == [a for a in range(lo, hi + 1) if g - a in node and (h - a in node or h == 2 * a)]
+        # bit a - lo of the step's mask stands for the next element a, and
+        # no bit lies above hi
+        step = _floor_step(below, rev, lo, hi)
+        assert step >> max(hi - lo + 1, 0) == 0
+        got = {a for a in range(lo, hi + 1) if step >> (a - lo) & 1}
+        assert got == {a for a in range(lo, hi + 1) if g - a in node and (h - a in node or h == 2 * a)}
         # exact: it keeps every child that reaches the floor
-        assert {a for a in range(lo, hi + 1) if basis_range(node + (a,)) >= floor} <= set(got)
+        assert {a for a in range(lo, hi + 1) if basis_range(node + (a,)) >= floor} <= got
 
     def test_run_bound_past_the_first_gap(self):
         # nodes two short of this stream have holes under the x floor, and
@@ -371,17 +375,20 @@ class TestFloorStep:
         assert [b for b in oracle_stream(7) if basis_range(b) >= 28 and meets(b, spec.floors)] == []
         assert list(enumerate_admissible(spec)) == []
 
-    @pytest.mark.parametrize("k", range(3, 17))
+    @pytest.mark.parametrize("k", range(3, 27))
     def test_prune_does_not_change_descent_streams(self, k):
         # both floored streams of every level from the pairing bound down to
-        # n2*(k), at every pivot up to k = 10 and the default one above
+        # n2*(k), at every pivot up to k = 10 and the default one above; from
+        # k = 17 on, those of n2*(k) only, the streams that a descent walks
+        # from the root once the catalog names n2*(k)
+        low = DEFAULT.known_restricted_range(k)
         for pivot in range(1, k - 1) if k <= 10 else [k // 2]:
-            for n in range(upper_bound_restricted(k), DEFAULT.known_restricted_range(k) - 1, -2):
+            for n in range(upper_bound_restricted(k) if k <= 16 else low, low - 1, -2):
                 target = SearchTarget.create(k, n, pivot)
-                for length, min_range in (
+                for length, min_range in {
                     (target.pivot, target.prefix_min_range),
                     (target.suffix_length, target.suffix_min_range),
-                ):
+                }:
                     spec = EnumSpec(length, min_range, floors=target.floors[:length])
                     got = list(enumerate_admissible(spec))
                     assert got == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)

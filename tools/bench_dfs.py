@@ -6,14 +6,17 @@ serially and consumed in full inside the timed region.  Time is
 count waiting for a shared machine.  The plain streams are the five that
 the k = 23 descent enumerated before it had per-depth floors, (11, 54)
 down to (11, 50), plus (12, 56), (10, 30), (10, 40), which
-`search -k 21 -n 164` used for both halves, and the k = 22 descent's
-final level, (11, 48) and (10, 42); `enumerate` and plain cache entries
-still produce them.  Then come the floored streams that the k = 22, 23
-and 26 descents enumerate now, each with the floors of its level
-(`SearchTarget.floors`); the length-12 and 13 streams of k = 26 are where
-the floor step matters beyond k = 23.  Each stream is timed once per
-round; the median over rounds is reported together with the stream size
-and bases per second.
+`search -k 21 -n 164` used for both halves, the k = 22 descent's final
+level, (11, 48) and (10, 42), and (13, 72), the first stream of the
+k = 26 descent before the floors; `enumerate` and plain cache entries
+still produce them.  Then
+come the floored streams that the k = 22, 23, 26, 28 and 30 descents
+walk from the root: the shorter stream at n2*(k), with the floors of
+that level (`SearchTarget.floors`).  The descent extends the longer
+stream from it and filters every higher level from the two, so these
+walks are where a descent's enumeration time goes.  Each stream is
+timed once per round; the median over rounds is reported together with
+the stream size and bases per second.
 
 Run from the repository root:
     python tools/bench_dfs.py --rounds 5
@@ -36,29 +39,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from addbasis.catalog import DEFAULT  # noqa: E402
 from addbasis.enumeration import EnumSpec, enumerate_admissible  # noqa: E402
-from addbasis.mitm import SearchTarget, upper_bound_restricted  # noqa: E402
+from addbasis.mitm import SearchTarget  # noqa: E402
 
 PLAIN = (
     (11, 54), (11, 53), (11, 52), (11, 51), (11, 50),
-    (12, 56), (10, 30), (10, 40), (11, 48), (10, 42),
+    (12, 56), (10, 30), (10, 40), (11, 48), (10, 42), (13, 72),
 )
-DESCENTS = (22, 23, 26)
+DESCENTS = (22, 23, 26, 28, 30)
 
 
-def descent_specs(k: int) -> list[EnumSpec]:
-    """The streams of the k descent, each once: both streams of every
-    level from the pairing bound down to n2*(k), with their floors."""
-    specs: list[EnumSpec] = []
-    for n in range(upper_bound_restricted(k), DEFAULT.known_restricted_range(k) - 1, -2):
-        target = SearchTarget.create(k, n)
-        for length, min_range in (
-            (target.pivot, target.prefix_min_range),
-            (target.suffix_length, target.suffix_min_range),
-        ):
-            spec = EnumSpec(length, min_range, floors=target.floors[:length])
-            if spec not in specs:
-                specs.append(spec)
-    return specs
+def descent_spec(k: int) -> EnumSpec:
+    """The stream that the k descent walks from the root: the shorter of
+    the two streams at n2*(k), or the one stream that odd k shares, with
+    the floors of that level."""
+    target = SearchTarget.create(k, DEFAULT.known_restricted_range(k))
+    if target.suffix_length < target.pivot:
+        length, min_range = target.suffix_length, target.suffix_min_range
+    else:
+        length, min_range = target.pivot, target.prefix_min_range
+    return EnumSpec(length, min_range, floors=target.floors[:length])
 
 
 def time_stream(spec: EnumSpec) -> tuple[int, float]:
@@ -78,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # (descent, spec); descent None for a plain stream
     streams = [(None, EnumSpec(*s)) for s in PLAIN]
-    streams += [(k, spec) for k in DESCENTS for spec in descent_specs(k)]
+    streams += [(k, descent_spec(k)) for k in DESCENTS]
     times: list[list[float]] = [[] for _ in streams]
     counts: list[int] = [0] * len(streams)
     for _ in range(args.rounds):
