@@ -94,11 +94,12 @@ partials of a given depth) and distributed over processes; results are
 merged back in lexicographic order.
 
 The processes come from one `Workers` per search: the n2* descent
-enumerates one or two streams per level, and a pool per stream cost the
-k = 22 descent 0.16 s of wall time on a 2-core machine for its 10 pools
-(0.11 s to start them, 0.05 s to stop them; BENCH_11.json), so a search
-opens one `Workers` and passes it to every stream.  It starts its pool
-on the first parallel map, not when it is opened, so a search whose
+enumerates streams once per round, at the round's base level, and when
+it still enumerated one or two streams per level, a pool per stream cost
+the k = 22 descent 0.16 s of wall time on a 2-core machine for its 10
+pools (0.11 s to start them, 0.05 s to stop them; BENCH_11.json), so a
+search opens one `Workers` and passes it to every stream.  It starts its
+pool on the first parallel map, not when it is opened, so a search whose
 streams all come from a cache, or are given, forks no process; the pool
 is closed when the `with` block ends, also on an exception.
 
@@ -113,28 +114,27 @@ worker balance; deeper stems need `STEMS_PER_WORKER`.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_ELEMENT, Basis, as_basis, basis_range, reaches_floors, sumset_bits
+from .core import MAX_ELEMENT, Basis, as_basis, reaches_floors, sumset_bits
 
 
 @dataclass(frozen=True, slots=True)
 class EnumSpec:
     """What to enumerate: all admissible bases of the given length whose
-    range is at least min_range, optionally restricted to a fixed stem of
-    leading elements.
+    range is at least min_range.
 
     `floors`, when given, has one entry per depth d = 1..length, none above
     min_range, and keeps only the bases whose prefix of depth d (its first
     d + 1 elements) has range >= floors[d - 1].  The floors are part of
-    what is enumerated, like min_range: prune=False keeps them.
+    what is enumerated, like min_range: prune=False keeps them.  They are
+    keyword-only and always kept as a tuple.
     """
 
     length: int
     min_range: int = 0
-    first_elements: Basis | None = None
-    floors: tuple[int, ...] = ()
+    floors: tuple[int, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -145,38 +145,14 @@ class EnumSpec:
                 f"min_range must be between 0 and {2 * MAX_ELEMENT} (twice the "
                 f"supported maximum element), got {self.min_range}"
             )
-        if self.first_elements is not None:
-            stem = as_basis(self.first_elements)
-            if len(stem) > self.length + 1:
-                raise ValueError(
-                    f"stem has {len(stem)} elements but the target length "
-                    f"{self.length} allows at most {self.length + 1}"
-                )
-            if len(stem) >= 2 and stem[1] != 1:
-                raise ValueError("an admissible basis begins 0, 1")
-            if not _stem_admissible(stem):
-                raise ValueError(f"stem {stem} is not an admissible partial basis")
-            object.__setattr__(self, "first_elements", stem)
-        if self.floors:
-            floors = tuple(map(int, self.floors))
-            if len(floors) != self.length:
-                raise ValueError(
-                    f"floors has {len(floors)} entries but the length {self.length} needs one per depth"
-                )
-            if not all(0 <= f <= self.min_range for f in floors):
-                raise ValueError(f"floors must lie between 0 and min_range {self.min_range}, got {floors}")
-            object.__setattr__(self, "floors", floors)
-
-    @property
-    def stem(self) -> Basis:
-        return self.first_elements if self.first_elements is not None else (0,)
-
-
-def _stem_admissible(stem: Sequence[int]) -> bool:
-    for i in range(1, len(stem)):
-        if stem[i] > basis_range(stem[:i]) + 1:
-            return False
-    return True
+        floors = tuple(map(int, self.floors))
+        if floors and len(floors) != self.length:
+            raise ValueError(
+                f"floors has {len(floors)} entries but the length {self.length} needs one per depth"
+            )
+        if not all(0 <= f <= self.min_range for f in floors):
+            raise ValueError(f"floors must lie between 0 and min_range {self.min_range}, got {floors}")
+        object.__setattr__(self, "floors", floors)
 
 
 def _floor_step(below: int, rev: int, lo: int, hi: int) -> int:
@@ -472,28 +448,25 @@ def enumerate_admissible(
     pool and their results merge back in order; without, the stream is
     enumerated in this process.
 
-    `extend`, partial bases of at most spec.length + 1 elements, takes the
-    place of the spec's one stem: the result is then the extensions of
+    `extend`, partial bases of at most spec.length + 1 elements, is the
+    way to walk below given stems: the result is then the extensions of
     each, in the order given, so lexicographic when they are sorted and
     of one length.  One that is not admissible or misses a floor extends
     to nothing.  They are walked in this process, whatever `workers`; a
     basis of length spec.length - 1 only takes the exact last-element
-    step.  A spec with first_elements takes no `extend`.
+    step.
     """
     if extend is not None:
-        if spec.first_elements is not None:
-            raise ValueError("extend replaces the stem, so the spec may not fix first_elements")
         starts = (_stem(b, spec.length) for b in extend)
         yield from _iter_admissible(spec.length, spec.min_range, starts, prune, spec.floors)
         return
-    stem = spec.stem
-    depth = max(len(stem) - 1, 2)
-    if workers is None or workers.processes <= 1 or depth >= spec.length:
-        yield from _iter_admissible(spec.length, spec.min_range, (stem,), prune, spec.floors)
+    if workers is None or workers.processes <= 1 or spec.length <= 2:
+        yield from _iter_admissible(spec.length, spec.min_range, ((0,),), prune, spec.floors)
         return
-    # deepen the stems below spec.stem one level at a time until there are
+    # deepen the stems below the root one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level
-    parts = stems(depth, stem)
+    depth = 2
+    parts = stems(depth)
     while depth < spec.length - 1:
         shallow = spec.length - depth <= SHALLOW_LEVELS
         per_worker = SHALLOW_STEMS_PER_WORKER if shallow else STEMS_PER_WORKER

@@ -34,20 +34,27 @@ J. Kohonen's early pruning for the restricted postage stamp problem.
 At n = 196 the k = 23 prefix stream (11, 50) keeps 14 of the 213 bases
 of range >= 50.
 
-The longer stream of a level extends the shorter one.  Say i = j + 1,
-as at the default pivot for even k.  The shorter stream's min_range is
-the longer stream's floor at depth j: floors[j - 1] == suffix_min_range.
-Both streams share floors[:j], so the first j + 1 elements of every
-basis of the longer stream are a basis of the shorter one, and the
-longer stream is the shorter one with each basis extended by one element,
-in the same order.  So the search makes the shorter stream first and
-hands its bases to the enumeration as stems one element short of a leaf,
-where only the exact last-element step runs; the walk down to depth j
-is not repeated.  This one-element rule covers both i = j + 1 and
-j = i + 1.  Streams that differ by more, which only an explicit pivot
-gives, are both enumerated directly: at k = 20, extending across more
-levels won at a length difference of 3 but took up to 2.2 times the
-direct walk at differences of 5 to 9 (BENCH_16.json).
+At d = i the floor is the prefix stream's own bound, n/2 - n2(j-1) - 2,
+and at d = j the suffix stream's, so every stream of a level is one
+statement: the stream of length L is EnumSpec(L, floors[L - 1],
+floors=floors[:L]).  The prefix stream has L = i and the suffix stream
+L = j; an even split (i = j) has one stream for both halves.
+
+The longer stream of a level extends the shorter one when they are one
+element apart, as at the default pivot for even k.  Say the shorter
+stream has length L.  Its min_range is floors[L - 1], the longer
+stream's floor at depth L, and both share floors[:L], so the first
+L + 1 elements of every basis of the longer stream are a basis of the
+shorter one, and the longer stream is the shorter one with each basis
+extended by one element, in the same order.  So the search makes the
+shorter stream first and hands its bases to the enumeration as stems one
+element short of a leaf, where only the exact last-element step runs;
+the walk down to depth L is not repeated.  Streams that differ by more,
+which only an explicit pivot gives, are both enumerated directly: at
+k = 20, extending across more levels won at a length difference of 3 but
+took up to 2.2 times the direct walk at differences of 5 to 9
+(BENCH_16.json).  A stream passed in by the caller need not carry the
+floors, so it is never extended from.
 
 The pair scan picks a prefix's suffixes by the prefix's first gap.  A
 suffix R can follow P only if min R > max P.  Let g <= n be the first
@@ -104,20 +111,29 @@ Log = Callable[[str], None]
 class SearchTarget:
     """One meet-in-the-middle instance: length k, even range n, pivot i.
 
-    prefix_min_range / suffix_min_range are the forced ranges of the two
-    streams (clamped at 0); suffix_length is j = k - 1 - pivot.  floors[d - 1]
-    is the forced range of a prefix of depth d, for d = 1..max(i, j), so
-    floors[i - 1] == prefix_min_range and floors[j - 1] == suffix_min_range;
-    the prefix stream keeps floors[:i] and the suffix stream floors[:j].
+    floors[d - 1] is the forced range of a prefix of depth d (clamped at
+    0), for d = 1..max(i, j), j = k - 1 - i being suffix_length.  The
+    stream of length L is EnumSpec(L, floors[L - 1], floors=floors[:L]):
+    the prefix stream has L = i and the suffix stream L = j, so their
+    least ranges are floors[i - 1] and floors[j - 1].
     """
 
     k: int
     n: int
     pivot: int
-    suffix_length: int
-    prefix_min_range: int
-    suffix_min_range: int
     floors: tuple[int, ...]
+
+    @property
+    def suffix_length(self) -> int:
+        return self.k - 1 - self.pivot
+
+    @property
+    def prefix_min_range(self) -> int:
+        return self.floors[self.pivot - 1]
+
+    @property
+    def suffix_min_range(self) -> int:
+        return self.floors[self.suffix_length - 1]
 
     @classmethod
     def create(
@@ -141,15 +157,16 @@ class SearchTarget:
         if not 0 < pivot < k - 1:
             raise ValueError(f"pivot must satisfy 0 < pivot < {k - 1}, got {pivot}")
         j = k - 1 - pivot
+        # the least ranges of the two streams, the floors at depths i and
+        # j, need n2(j - 1) and n2(i - 1) on record
+        table.known_unrestricted_range(j - 1)
+        table.known_unrestricted_range(pivot - 1)
         half = n // 2
         n2 = table.unrestricted
         return cls(
             k=k,
             n=n,
             pivot=pivot,
-            suffix_length=j,
-            prefix_min_range=max(0, half - table.known_unrestricted_range(j - 1) - 2),
-            suffix_min_range=max(0, half - table.known_unrestricted_range(pivot - 1) - 2),
             # the split bound at every depth d; an n2 not on record bounds nothing
             floors=tuple(
                 max(0, half - n2[k - 2 - d] - 2) if k - 2 - d in n2 else 0
@@ -290,50 +307,49 @@ def _level_streams(
     log: Log | None = None,
 ) -> tuple[Sequence[Basis], Sequence[Basis]]:
     """The prefix and suffix streams of a level, with its floors: those
-    given, and the others made here, each by one `enumerate_admissible`
-    call.  An even split (i == j) shares one stream.
+    given, and the others made here, one `enumerate_admissible` call per
+    length.  An even split (i == j) has one length, so its two streams
+    are one list.
 
-    `lower` holds the (prefixes, suffixes) of a lower level of the same k
-    and pivot.  The floors and least ranges only rise with n, so each of
-    its streams holds this level's stream of the same length, and each
-    stream is made by filtering it: its bases enter the walk as
-    full-length stems, which take only the walk's root check.  Without
-    `lower`, a stream comes from the cache or is enumerated (and stored),
-    through `workers`; when both are made and one is a single element
-    longer, the shorter comes first and the longer one, unless the cache
-    holds it, is extended from it in this process.
+    Each length L not given is made shortest first, as the stream
+    EnumSpec(L, floors[L - 1], floors=floors[:L]), from the first source
+    that applies:
+
+    1. `lower`, the (prefixes, suffixes) of a lower level of the same k
+       and pivot: the floors only rise with n, so its stream of length L
+       holds this one, which is made by filtering it (its bases enter the
+       walk as full-length stems, which take only the root check);
+    2. a cache hit;
+    3. the stream of length L - 1 that this call made: its min_range is
+       the floor at depth L - 1, so each basis of length L begins with
+       one of its bases, and it is extended by one element in this
+       process;
+    4. a walk through `workers`.
+
+    The streams of sources 3 and 4 are stored in the cache.  A given
+    stream is used as given and never extended from, as it need not
+    carry the floors.
     """
     i, j = target.pivot, target.suffix_length
-
-    def stream(length: int, min_range: int, shorter: list[Basis] | None = None) -> list[Basis]:
-        floors = target.floors[:length]
+    streams = {length: given for length, given in ((i, prefixes), (j, suffixes)) if given is not None}
+    made: dict[int, Sequence[Basis]] = {}
+    for length in sorted({i, j} - streams.keys()):
+        min_range, floors = target.floors[length - 1], target.floors[:length]
         spec = EnumSpec(length, min_range, floors=floors)
         if lower is not None:
-            return list(enumerate_admissible(spec, extend=lower[0] if length == i else lower[1]))
-        if cache is not None:
-            hit = cache.load(length, min_range, floors)
-            if hit is not None:
-                if log:
-                    log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
-                return hit
-        # a stream extended from the shorter one is walked in this process
-        bases = list(enumerate_admissible(spec, workers=workers, extend=shorter))
-        if cache is not None:
-            cache.store(length, min_range, bases, floors)
-        return bases
-
-    # one element apart, the longer stream is the shorter one extended
-    if prefixes is None and suffixes is None and i == j + 1:
-        suffixes = stream(j, target.suffix_min_range)
-        prefixes = stream(i, target.prefix_min_range, suffixes)
-    elif prefixes is None and suffixes is None and j == i + 1:
-        prefixes = stream(i, target.prefix_min_range)
-        suffixes = stream(j, target.suffix_min_range, prefixes)
-    if prefixes is None:
-        prefixes = stream(i, target.prefix_min_range)
-    if suffixes is None:
-        suffixes = prefixes if i == j else stream(j, target.suffix_min_range)
-    return prefixes, suffixes
+            bases = list(enumerate_admissible(spec, extend=lower[0] if length == i else lower[1]))
+        elif cache is not None and (hit := cache.load(length, min_range, floors)) is not None:
+            if log:
+                log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
+            bases = hit
+        else:
+            # one extended from the shorter stream is walked in this process
+            bases = list(enumerate_admissible(spec, workers=workers, extend=made.get(length - 1)))
+            if cache is not None:
+                cache.store(length, min_range, bases, floors)
+        made[length] = bases
+    streams.update(made)
+    return streams[i], streams[j]
 
 
 def search_restricted(
@@ -347,15 +363,14 @@ def search_restricted(
 ) -> SearchReport:
     """Find every restricted basis of length target.k and range target.n.
 
-    The two streams are enumerated on demand with the target's floors
-    (consulting / feeding the cache when one is given); pass
-    prefixes/suffixes explicitly to seed from a prior run, with or without
-    the floors.  When the pivot splits evenly the prefix stream is
-    reused as the suffix stream.  When the search makes both streams and
-    one is a single element longer, the shorter stream comes first and the
-    longer one, unless the cache holds it, is extended from it in this
-    process.  `workers` spreads the enumeration of the other streams over
-    its process pool; the pair scan runs in this process.
+    The streams not passed in are made by `_level_streams` with the
+    target's floors, consulting and feeding the cache when one is given;
+    pass prefixes/suffixes explicitly to seed from a prior run, with or
+    without the floors.  A given stream is used as it is: when the pivot
+    splits evenly it is also the other stream, and a missing stream one
+    element longer is walked from the root, not extended from it.
+    `workers` spreads the walks from the root over its process pool; the
+    pair scan runs in this process.
     """
     t0 = time.perf_counter()
     if prefixes is None or suffixes is None:

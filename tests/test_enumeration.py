@@ -28,8 +28,8 @@ def oracle_stream(length):
 
 @st.composite
 def stem_specs(draw):
-    """EnumSpec(L, T, stem) with L <= 7, a random admissible stem of up to
-    L + 1 elements, and T up to just past the largest range n2(L)."""
+    """(EnumSpec(L, T), stem) with L <= 7, a random admissible stem of up
+    to L + 1 elements, and T up to just past the largest range n2(L)."""
     length = draw(st.integers(min_value=1, max_value=7))
     stem = (0,)
     for _ in range(draw(st.integers(min_value=0, max_value=length))):
@@ -37,7 +37,7 @@ def stem_specs(draw):
         stem += (draw(st.integers(min_value=stem[-1] + 1, max_value=top)),)
     top_range = DEFAULT.known_unrestricted_range(length)
     threshold = draw(st.integers(min_value=0, max_value=top_range + 2))
-    return EnumSpec(length, threshold, stem)
+    return EnumSpec(length, threshold), stem
 
 
 def meets(basis, floors):
@@ -48,25 +48,25 @@ def meets(basis, floors):
 
 @st.composite
 def floored_specs(draw):
-    """A stem_specs spec with a floor per depth, each drawn up to just past
-    n2(d) and capped at T, in any order: a prefix can fail a shallow
-    floor and pass every deeper one."""
-    spec = draw(stem_specs())
+    """A stem_specs (spec, stem) with a floor per depth, each drawn up to
+    just past n2(d) and capped at T, in any order: a prefix can fail a
+    shallow floor and pass every deeper one."""
+    spec, stem = draw(stem_specs())
     floors = tuple(
         draw(st.integers(min_value=0, max_value=min(spec.min_range, DEFAULT.known_unrestricted_range(d) + 1)))
         for d in range(1, spec.length + 1)
     )
-    return EnumSpec(spec.length, spec.min_range, spec.first_elements, floors)
+    return EnumSpec(spec.length, spec.min_range, floors=floors), stem
 
 
 @st.composite
 def shallow_floored_specs(draw):
-    """A stem_specs spec whose floors reach the first gap at the shallow
-    depths: up to a depth of 1 to 3, floor[d] lies in [n2(d - 1) + 1, n2(d)]
-    (capped at T), at or above the first gap of every prefix of depth
-    d - 1, so the floor step runs at each node there; deeper floors as in
-    floored_specs."""
-    spec = draw(stem_specs())
+    """A stem_specs (spec, stem) whose floors reach the first gap at the
+    shallow depths: up to a depth of 1 to 3, floor[d] lies in
+    [n2(d - 1) + 1, n2(d)] (capped at T), at or above the first gap of
+    every prefix of depth d - 1, so the floor step runs at each node
+    there; deeper floors as in floored_specs."""
+    spec, stem = draw(stem_specs())
     shallow = draw(st.integers(min_value=1, max_value=min(3, spec.length)))
     floors = []
     for d in range(1, spec.length + 1):
@@ -76,7 +76,7 @@ def shallow_floored_specs(draw):
         else:
             floor = draw(st.integers(min_value=0, max_value=top + 1))
         floors.append(min(spec.min_range, floor))
-    return EnumSpec(spec.length, spec.min_range, spec.first_elements, tuple(floors))
+    return EnumSpec(spec.length, spec.min_range, floors=floors), stem
 
 
 @st.composite
@@ -101,8 +101,13 @@ def save(path, spec, bases):
 class TestEnumSpec:
     def test_defaults(self):
         spec = EnumSpec(5)
-        assert spec.min_range == 0 and spec.first_elements is None
-        assert spec.stem == (0,)
+        assert spec.min_range == 0 and spec.floors == ()
+
+    def test_floors_are_keyword_only(self):
+        # a stem goes to enumerate_admissible(extend=...): one passed as a
+        # third argument is not read as floors
+        with pytest.raises(TypeError):
+            EnumSpec(5, 0, (0, 1, 3))
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -118,28 +123,11 @@ class TestEnumSpec:
             EnumSpec(3, 2 * MAX_ELEMENT + 1)
         assert EnumSpec(3, 2 * MAX_ELEMENT).min_range == 2 * MAX_ELEMENT
 
-    def test_accepts_valid_stem(self):
-        spec = EnumSpec(5, 0, (0, 1, 3))
-        assert spec.stem == (0, 1, 3)
-
-    def test_normalizes_stem(self):
-        assert EnumSpec(5, 0, [0, 1, 2]).first_elements == (0, 1, 2)
-
-    def test_rejects_stem_not_starting_0_1(self):
-        with pytest.raises(ValueError):
-            EnumSpec(5, 0, (0, 2))
-
-    def test_rejects_inadmissible_stem(self):
-        # {0,1,3} has range 4, so 6 is out of reach
-        with pytest.raises(ValueError, match="admissible"):
-            EnumSpec(5, 0, (0, 1, 3, 6))
-
-    def test_rejects_oversized_stem(self):
-        with pytest.raises(ValueError, match="at most"):
-            EnumSpec(2, 0, (0, 1, 2, 3))
-
     def test_floors_need_one_entry_per_depth(self):
         assert EnumSpec(3, 6, floors=[0, 2, 6]).floors == (0, 2, 6)
+        # no floors, as a list too, name the plain stream
+        assert EnumSpec(3, 6, floors=[]) == EnumSpec(3, 6)
+        assert hash(EnumSpec(3, 6, floors=[])) == hash(EnumSpec(3, 6))
         with pytest.raises(ValueError, match="one per depth"):
             EnumSpec(3, 6, floors=(0, 6))
 
@@ -170,8 +158,8 @@ class TestPartialState:
         assert (mask, bits) == sumset_bits(basis)
 
     def test_extend_rejects_nonincreasing(self):
-        with pytest.raises(ValueError):
-            EnumSpec(5, 0, (0, 1, 3, 2))
+        with pytest.raises(ValueError, match="strictly increase"):
+            list(enumerate_admissible(EnumSpec(5), extend=[(0, 1, 3, 2)]))
 
     def test_covered_count(self):
         _, bits = sumset_bits((0, 1))
@@ -213,25 +201,25 @@ class TestGapsPrune:
 
     def test_survivable_node(self):
         # {0,1,2,3} reaches range 6, so the cut must keep the node (0, 1)
-        assert (0, 1, 2, 3) in list(enumerate_admissible(EnumSpec(3, 6, (0, 1))))
+        assert (0, 1, 2, 3) in list(enumerate_admissible(EnumSpec(3, 6), extend=[(0, 1)]))
 
     def test_hopeless_node(self):
         # one more element after (0, 1, 2) cannot cover [0, 12]
-        spec = EnumSpec(3, 12, (0, 1, 2))
-        assert list(enumerate_admissible(spec)) == []
-        assert list(enumerate_admissible(spec, prune=False)) == []
+        spec = EnumSpec(3, 12)
+        assert list(enumerate_admissible(spec, extend=[(0, 1, 2)])) == []
+        assert list(enumerate_admissible(spec, extend=[(0, 1, 2)], prune=False)) == []
 
     @settings(max_examples=300)
     @given(stem_specs())
-    def test_never_cuts_a_reachable_target(self, spec):
+    def test_never_cuts_a_reachable_target(self, spec_stem):
         # soundness and completeness of the production walk below any stem:
         # exactly the oracle's bases with that stem and range >= T
-        stem = spec.stem
+        spec, stem = spec_stem
         expected = [
             b for b in oracle_stream(spec.length)
             if b[: len(stem)] == stem and basis_range(b) >= spec.min_range
         ]
-        assert list(enumerate_admissible(spec)) == expected
+        assert list(enumerate_admissible(spec, extend=[stem])) == expected
 
 
 class TestFloors:
@@ -244,24 +232,25 @@ class TestFloors:
 
     @settings(max_examples=600)
     @given(st.one_of(floored_specs(), shallow_floored_specs()))
-    def test_equals_the_filtered_oracle(self, spec):
-        stem = spec.stem
+    def test_equals_the_filtered_oracle(self, spec_stem):
+        spec, stem = spec_stem
         expected = [
             b for b in oracle_stream(spec.length)
             if b[: len(stem)] == stem and basis_range(b) >= spec.min_range and meets(b, spec.floors)
         ]
-        assert list(enumerate_admissible(spec)) == expected
-        assert list(enumerate_admissible(spec, prune=False)) == expected
+        assert list(enumerate_admissible(spec, extend=[stem])) == expected
+        assert list(enumerate_admissible(spec, extend=[stem], prune=False)) == expected
 
     def test_a_stem_below_a_shallow_floor_is_empty(self):
         # (0, 1, 3) has range 4 < 5, and (0, 1, 3, 4) range 8 >= 5: only
         # the check of the stem's own prefixes drops it
         floors = (0, 5, 5, 5, 10)
-        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4)))) != []
-        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4), floors))) == []
-        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 3, 4, 8), floors))) == []
-        assert list(enumerate_admissible(EnumSpec(5, 10, (0, 1, 2, 4), floors))) == [
-            b for b in enumerate_admissible(EnumSpec(5, 10, (0, 1, 2, 4))) if meets(b, floors)
+        plain, floored = EnumSpec(5, 10), EnumSpec(5, 10, floors=floors)
+        assert list(enumerate_admissible(plain, extend=[(0, 1, 3, 4)])) != []
+        assert list(enumerate_admissible(floored, extend=[(0, 1, 3, 4)])) == []
+        assert list(enumerate_admissible(floored, extend=[(0, 1, 3, 4, 8)])) == []
+        assert list(enumerate_admissible(floored, extend=[(0, 1, 2, 4)])) == [
+            b for b in enumerate_admissible(plain, extend=[(0, 1, 2, 4)]) if meets(b, floors)
         ]
 
     @pytest.mark.parametrize("depth", [4, 5, 6])
@@ -273,7 +262,7 @@ class TestFloors:
         parts = stems(depth)
         pieces = []
         for stem in parts:
-            pieces.extend(enumerate_admissible(EnumSpec(7, 22, stem, spec.floors)))
+            pieces.extend(enumerate_admissible(spec, extend=[stem]))
         assert pieces == whole
         if depth == 6:
             # a stem that fails the depth-5 floor and passes the depth-6 one
@@ -292,18 +281,18 @@ class TestExtend:
 
     @settings(max_examples=300)
     @given(floored_specs(), st.data())
-    def test_stems_of_a_depth_give_the_stream(self, spec, data):
+    def test_stems_of_a_depth_give_the_stream(self, spec_stem, data):
         # every admissible stem of one depth below the whole stream, and
         # the floored shorter stream one element short
-        depth = data.draw(st.integers(min_value=1, max_value=spec.length))
-        whole = EnumSpec(spec.length, spec.min_range, floors=spec.floors)
+        whole, _ = spec_stem
+        depth = data.draw(st.integers(min_value=1, max_value=whole.length))
         expected = list(enumerate_admissible(whole))
         assert list(enumerate_admissible(whole, extend=stems(depth))) == expected
         assert list(enumerate_admissible(whole, extend=stems(depth), prune=False)) == expected
-        floors = spec.floors or (0,) * spec.length
-        if spec.length >= 2 and max(floors[:-1]) == floors[-2]:
+        floors = whole.floors
+        if whole.length >= 2 and max(floors[:-1]) == floors[-2]:
             # the shorter stream's min_range is the floor of its depth
-            shorter = EnumSpec(spec.length - 1, floors[-2], floors=floors[:-1])
+            shorter = EnumSpec(whole.length - 1, floors[-2], floors=floors[:-1])
             extended = enumerate_admissible(whole, extend=enumerate_admissible(shorter))
             assert list(extended) == expected
 
@@ -322,10 +311,6 @@ class TestExtend:
         assert out == [b for b in enumerate_admissible(spec) if b[:3] == (0, 1, 3)] + [
             b for b in enumerate_admissible(spec) if b[:3] == (0, 1, 2)
         ]
-
-    def test_rejects_a_spec_with_a_stem(self):
-        with pytest.raises(ValueError, match="first_elements"):
-            list(enumerate_admissible(EnumSpec(4, 8, (0, 1)), extend=[(0, 1, 2)]))
 
     def test_rejects_a_basis_longer_than_the_stream(self):
         with pytest.raises(ValueError, match=r"stem \(0, 1, 2\) .* depth 1"):
@@ -396,6 +381,7 @@ class TestFloorStep:
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
     def test_stems_give_the_serial_stream(self, depth, processes):
+        # the stems are walked in this process, with or without a pool
         spec = self.SPEC
         serial = list(enumerate_admissible(spec))
         assert serial == [b for b in enumerate_admissible(EnumSpec(7, 22)) if meets(b, spec.floors)]
@@ -404,7 +390,7 @@ class TestFloorStep:
             pieces = [
                 b
                 for stem in stems(depth)
-                for b in enumerate_admissible(EnumSpec(7, 22, stem, spec.floors), workers=workers)
+                for b in enumerate_admissible(spec, workers=workers, extend=[stem])
             ]
         assert pieces == serial
 
@@ -442,9 +428,9 @@ class TestEnumerate:
         # last two levels directly, as the pool's deepened stems can
         for stem in stems(k - short):
             for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
-                spec = EnumSpec(k, threshold, stem)
-                got = list(enumerate_admissible(spec))
-                assert got == list(enumerate_admissible(spec, prune=False)), (stem, threshold)
+                spec = EnumSpec(k, threshold)
+                got = list(enumerate_admissible(spec, extend=[stem]))
+                assert got == list(enumerate_admissible(spec, extend=[stem], prune=False)), (stem, threshold)
 
     @pytest.mark.parametrize("threshold,size", [(54, 4), (53, 5), (52, 35), (51, 56), (50, 213)])
     def test_descent_stream_sizes(self, threshold, size):
@@ -455,13 +441,13 @@ class TestEnumerate:
     def test_stem_restricts_the_stream(self):
         spec = EnumSpec(6, 10)
         whole = list(enumerate_admissible(spec))
-        part = list(enumerate_admissible(EnumSpec(6, 10, (0, 1, 2))))
+        part = list(enumerate_admissible(spec, extend=[(0, 1, 2)]))
         assert part == [b for b in whole if b[:3] == (0, 1, 2)]
 
     def test_complete_stem_is_a_leaf_check(self):
         basis = (0, 1, 3, 4)
-        assert list(enumerate_admissible(EnumSpec(3, 8, basis))) == [basis]
-        assert list(enumerate_admissible(EnumSpec(3, 9, basis))) == []
+        assert list(enumerate_admissible(EnumSpec(3, 8), extend=[basis])) == [basis]
+        assert list(enumerate_admissible(EnumSpec(3, 9), extend=[basis])) == []
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
     def test_stem_partitions_are_complete_and_disjoint(self, depth):
@@ -469,7 +455,7 @@ class TestEnumerate:
         whole = list(enumerate_admissible(spec))
         pieces = []
         for stem in stems(depth):
-            pieces.extend(enumerate_admissible(EnumSpec(6, 12, stem)))
+            pieces.extend(enumerate_admissible(spec, extend=[stem]))
         assert sorted(pieces) == whole
         assert len(pieces) == len(set(pieces))
 
@@ -486,8 +472,8 @@ class TestEnumerate:
             stems(3, (0, 2, 2))
 
     def test_parallel_equals_serial(self):
-        # the partition is built below the spec's own stem
-        spec = EnumSpec(7, 16, (0, 1, 2))
+        # 756 bases, partitioned below the root
+        spec = EnumSpec(7, 19)
         serial = list(enumerate_admissible(spec))
         with Workers(2) as workers:
             parallel = list(enumerate_admissible(spec, workers=workers))
@@ -500,7 +486,7 @@ class TestEnumerate:
         assert parallel == list(enumerate_admissible(spec))
 
     def test_streams_share_one_pool(self, started_pools):
-        specs = [EnumSpec(6, 12), EnumSpec(7, 16, (0, 1, 2)), EnumSpec(8)]
+        specs = [EnumSpec(6, 12), EnumSpec(7, 19), EnumSpec(8)]
         with Workers(2) as workers:
             parallel = [list(enumerate_admissible(s, workers=workers)) for s in specs]
             assert len(multiprocessing.active_children()) == 2

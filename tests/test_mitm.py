@@ -111,8 +111,9 @@ class TestFloors:
                     continue
                 i, j = target.pivot, target.suffix_length
                 assert len(target.floors) == max(i, j)
-                assert target.floors[i - 1] == target.prefix_min_range
-                assert target.floors[j - 1] == target.suffix_min_range
+                # the least ranges are the split bound at the pivot itself
+                assert target.prefix_min_range == max(0, target.n // 2 - DEFAULT.unrestricted[j - 1] - 2)
+                assert target.suffix_min_range == max(0, target.n // 2 - DEFAULT.unrestricted[i - 1] - 2)
                 lemma = n2_floors(k, target.n)
                 assert target.floors == tuple(max(0, lemma.get(d, 0)) for d in range(1, max(i, j) + 1))
 
@@ -423,7 +424,8 @@ class TestExtension:
 
 class TestExtensionCache:
     """A cache that holds only one of the two streams of a level whose
-    streams differ by one element gives the report of a cold search."""
+    streams differ by one element, or a caller that gives only one, gives
+    the report of a cold search."""
 
     TARGET = SearchTarget.create(12, 64)
     SHORT = (5, TARGET.suffix_min_range, TARGET.floors[:5])
@@ -475,6 +477,17 @@ class TestExtensionCache:
         # the hit is used as it is: only the shorter stream is enumerated
         assert enum_calls == [(5, False)]
         assert any(f"bases of length {length}" in m and "cache hit" in m for m in messages)
+
+    @pytest.mark.parametrize("given,stream,walked", [("prefixes", LONG, 5), ("suffixes", SHORT, 6)])
+    def test_a_given_stream_is_not_extended_from(self, enum_calls, given, stream, walked):
+        # a plain stream given alone is used as it is: the other stream,
+        # one element shorter or longer, is walked from the root
+        cold = search_restricted(self.TARGET)
+        enum_calls.clear()
+        length, min_range, _ = stream
+        plain = list(enumerate_admissible(EnumSpec(length, min_range)))
+        assert search_restricted(self.TARGET, **{given: plain}) == cold
+        assert enum_calls == [(walked, False)]
 
 
 class TestPairScan:

@@ -1,7 +1,8 @@
 """Time the meet-in-the-middle pair scan on fixed levels.
 
 Each level is one `search_restricted(target, prefixes=P, suffixes=S)`
-call on streams enumerated before the timed region, so the time is the
+call on the floored streams that the search itself scans, made by
+`mitm._level_streams` before the timed region, so the time is the
 gluing alone: building the records and scanning the pairs.  Time is
 `time.process_time` (CPU seconds of this process), so the numbers do not
 count waiting for a shared machine.  The levels are the extremal ones of
@@ -35,19 +36,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from addbasis.core import basis_range  # noqa: E402
-from addbasis.enumeration import EnumSpec, enumerate_admissible  # noqa: E402
-from addbasis.mitm import SearchTarget, search_restricted  # noqa: E402
+from addbasis.mitm import SearchTarget, _level_streams, search_restricted  # noqa: E402
 
 LEVELS = ((21, 164), (22, 180), (23, 196), (25, 228))
-
-
-def streams(target: SearchTarget) -> tuple[list, list]:
-    prefixes = list(enumerate_admissible(EnumSpec(target.pivot, target.prefix_min_range)))
-    if target.suffix_length == target.pivot:
-        return prefixes, prefixes
-    return prefixes, list(
-        enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range))
-    )
 
 
 def pair_counts(n: int, prefixes: list, suffixes: list) -> tuple[int, int]:
@@ -84,10 +75,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.json:
         print(f"{'level':>10} {'prefixes':>8} {'suffixes':>8} {'front_pairs':>11} "
-              f"{'candidates':>10} {'matches':>7} {'cpu_s':>8}")
+              f"{'candidates':>10} {'matches':>7} {'cpu_s':>9}")
     for k, n in LEVELS:
         target = SearchTarget.create(k, n)
-        prefixes, suffixes = streams(target)
+        prefixes, suffixes = _level_streams(target)
         front, candidates = pair_counts(n, prefixes, suffixes)
         samples = []
         for _ in range(args.rounds):
@@ -102,14 +93,14 @@ def main(argv: list[str] | None = None) -> int:
             "front_pairs": front,
             "candidates": candidates,
             "matches": matches,
-            "cpu_s": round(cpu_s, 4),
-            "samples": [round(t, 4) for t in samples],
+            "cpu_s": round(cpu_s, 6),
+            "samples": [round(t, 6) for t in samples],
         }
         if args.json:
             print(json.dumps(row), flush=True)
         else:
             print(f"{f'({k}, {n})':>10} {len(prefixes):>8} {len(suffixes):>8} {front:>11} "
-                  f"{candidates:>10} {matches:>7} {cpu_s:>8.3f}", flush=True)
+                  f"{candidates:>10} {matches:>7} {cpu_s:>9.6f}", flush=True)
     return 0
 
 
