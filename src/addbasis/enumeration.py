@@ -66,8 +66,8 @@ A stream may also carry floors, one least range per depth (the split
 bound of the mitm module, applied at every depth).  They define the
 stream rather than prune it, like T: the walk drops a child whose first
 gap is at most the floor of its depth, an x two short that leaves a hole
-at or below its floor, and a stem whose own prefixes miss theirs, so a
-stream split over stems is the serial stream.
+at or below its floor, and a stem whose own prefixes miss theirs, so the
+stream below any set of stems is the serial stream filtered to them.
 
 The floor step.  Let P be a node whose children have depth d, and let P
 have holes in [0, floor[d]]; g is the first of them, P's first gap, and
@@ -89,9 +89,9 @@ take and tries each next element in turn.  floor[0] is 0, so the empty
 prefix, where g = 0 = 2 * 0, never takes the step.
 
 The search below T is exact either way; pruning changes the work, never
-the stream.  Long runs can be partitioned by fixed stems (all admissible
-partials of a given depth) and distributed over processes; results are
-merged back in lexicographic order.
+the stream.  Long runs can be partitioned by stems, the partial bases
+of one depth, and distributed over processes; results are merged back
+in lexicographic order.
 
 The processes come from one `Workers` per search: the n2* descent
 enumerates streams once per round, at the round's base level, and when
@@ -103,10 +103,15 @@ pool on the first parallel map, not when it is opened, so a search whose
 streams all come from a cache, or are given, forks no process; the pool
 is closed when the `with` block ends, also on an exception.
 
-A parallel stream is split into stems one level at a time.  Each job
-ships a stem to a worker and its bases back, which costs the parent up
-to about a millisecond of CPU, while the largest job left at the end
-decides how evenly the workers finish.  Stems with at most `SHALLOW_LEVELS` levels
+A parallel stream is split into stems one level at a time.  The stems
+of depth d are the admissible partial bases of d + 1 elements that reach
+the stream's first d floors: the stream of length d with those floors,
+and with min_range the largest of them, which each such stem reaches.
+So each depth extends the one before in one multi-stem walk, and a stem
+that misses a floor is dropped before it is shipped.  Each job ships a
+stem to a worker and its bases back, which costs the parent up to about
+a millisecond of CPU, while the largest job left at the end decides how
+evenly the workers finish.  Stems with at most `SHALLOW_LEVELS` levels
 below them make small jobs, so `SHALLOW_STEMS_PER_WORKER` of them per
 worker balance; deeper stems need `STEMS_PER_WORKER`.
 """
@@ -209,8 +214,8 @@ def _iter_admissible(
     covers.  There a child that leaves a hole of `below` open, so that
     its first gap is at most the floor, is dropped, and so is an x two
     short; every floor is at most min_range, so that hole is in [0, T].
-    The root drops a stem that has a prefix below its floor, so the stems
-    of a parallel run give exactly the serial stream.
+    The root drops a stem that has a prefix below its floor, so any set
+    of stems gives exactly the serial stream below them.
 
     A node's children are pushed straight onto the stack, largest first,
     so the smallest is popped first.  Where the floor step runs, they are
@@ -417,14 +422,6 @@ def _stem(elements: Sequence[int], depth: int) -> Basis:
     return stem
 
 
-def stems(depth: int, below: Sequence[int] = (0,)) -> list[Basis]:
-    """All admissible partial bases of length `depth` extending `below`,
-    in lexicographic order.  These partition any deeper enumeration."""
-    if depth < 1:
-        raise ValueError(f"stem depth must be >= 1, got {depth}")
-    return list(_iter_admissible(depth, 0, (_stem(below, depth),), False))
-
-
 def enumerate_admissible(
     spec: EnumSpec,
     *,
@@ -444,8 +441,10 @@ def enumerate_admissible(
     - the exact last-element step.
 
     The floors of the spec stay, as they define the stream.  With
-    `workers` of more than one process, the stem partitions run in its
-    pool and their results merge back in order; without, the stream is
+    `workers` of more than one process, the stream is split at its stems
+    of the least depth d that gives enough jobs, the stream of length d
+    with the spec's first d floors; the stems are walked in its pool and
+    their results merge back in order.  Without, the stream is
     enumerated in this process.
 
     `extend`, partial bases of at most spec.length + 1 elements, is the
@@ -464,16 +463,18 @@ def enumerate_admissible(
         yield from _iter_admissible(spec.length, spec.min_range, ((0,),), prune, spec.floors)
         return
     # deepen the stems below the root one level at a time until there are
-    # enough jobs to keep the pool busy; stem counts grow ~5x per level
-    depth = 2
-    parts = stems(depth)
+    # enough jobs to keep the pool busy; stem counts grow ~5x per level.
+    # The stems of depth d, the stream of length d with the first d
+    # floors, are extended from those of depth d - 1
+    floors = spec.floors
+    depth, parts = 1, [(0,)]
     while depth < spec.length - 1:
         shallow = spec.length - depth <= SHALLOW_LEVELS
         per_worker = SHALLOW_STEMS_PER_WORKER if shallow else STEMS_PER_WORKER
         if len(parts) >= per_worker * workers.processes:
             break
         depth += 1
-        parts = [s for part in parts for s in stems(depth, part)]
-    jobs = [(spec.length, spec.min_range, (part,), prune, spec.floors) for part in parts]
+        parts = list(_iter_admissible(depth, max(floors[:depth], default=0), parts, prune, floors[:depth]))
+    jobs = [(spec.length, spec.min_range, (part,), prune, floors) for part in parts]
     for chunk in workers.imap(_collect, jobs):
         yield from chunk

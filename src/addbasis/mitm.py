@@ -53,8 +53,9 @@ the walk down to depth L is not repeated.  Streams that differ by more,
 which only an explicit pivot gives, are both enumerated directly: at
 k = 20, extending across more levels won at a length difference of 3 but
 took up to 2.2 times the direct walk at differences of 5 to 9
-(BENCH_16.json).  A stream passed in by the caller need not carry the
-floors, so it is never extended from.
+(BENCH_16.json).  A search either takes both streams of its level as
+given or makes both, so only a stream made with the floors is extended
+from.
 
 The pair scan picks a prefix's suffixes by the prefix's first gap.  A
 suffix R can follow P only if min R > max P.  Let g <= n be the first
@@ -298,20 +299,17 @@ def _scan_pairs(args) -> list[Basis]:
 
 def _level_streams(
     target: SearchTarget,
-    prefixes: Sequence[Basis] | None = None,
-    suffixes: Sequence[Basis] | None = None,
     *,
     lower: tuple[Sequence[Basis], Sequence[Basis]] | None = None,
     workers: Workers | None = None,
     cache: PrefixCache | None = None,
     log: Log | None = None,
 ) -> tuple[Sequence[Basis], Sequence[Basis]]:
-    """The prefix and suffix streams of a level, with its floors: those
-    given, and the others made here, one `enumerate_admissible` call per
-    length.  An even split (i == j) has one length, so its two streams
-    are one list.
+    """The prefix and suffix streams of a level, with its floors, made
+    with one `enumerate_admissible` call per length.  An even split
+    (i == j) has one length, so its two streams are one list.
 
-    Each length L not given is made shortest first, as the stream
+    Each length L is made shortest first, as the stream
     EnumSpec(L, floors[L - 1], floors=floors[:L]), from the first source
     that applies:
 
@@ -326,14 +324,11 @@ def _level_streams(
        process;
     4. a walk through `workers`.
 
-    The streams of sources 3 and 4 are stored in the cache.  A given
-    stream is used as given and never extended from, as it need not
-    carry the floors.
+    The streams of sources 3 and 4 are stored in the cache.
     """
     i, j = target.pivot, target.suffix_length
-    streams = {length: given for length, given in ((i, prefixes), (j, suffixes)) if given is not None}
     made: dict[int, Sequence[Basis]] = {}
-    for length in sorted({i, j} - streams.keys()):
+    for length in sorted({i, j}):
         min_range, floors = target.floors[length - 1], target.floors[:length]
         spec = EnumSpec(length, min_range, floors=floors)
         if lower is not None:
@@ -348,35 +343,30 @@ def _level_streams(
             if cache is not None:
                 cache.store(length, min_range, bases, floors)
         made[length] = bases
-    streams.update(made)
-    return streams[i], streams[j]
+    return made[i], made[j]
 
 
 def search_restricted(
     target: SearchTarget,
     *,
-    prefixes: Sequence[Basis] | None = None,
-    suffixes: Sequence[Basis] | None = None,
+    streams: tuple[Sequence[Basis], Sequence[Basis]] | None = None,
     workers: Workers | None = None,
     cache: PrefixCache | None = None,
     log: Log | None = None,
 ) -> SearchReport:
     """Find every restricted basis of length target.k and range target.n.
 
-    The streams not passed in are made by `_level_streams` with the
-    target's floors, consulting and feeding the cache when one is given;
-    pass prefixes/suffixes explicitly to seed from a prior run, with or
-    without the floors.  A given stream is used as it is: when the pivot
-    splits evenly it is also the other stream, and a missing stream one
-    element longer is walked from the root, not extended from it.
-    `workers` spreads the walks from the root over its process pool; the
-    pair scan runs in this process.
+    `streams`, a (prefixes, suffixes) pair, is used exactly as given,
+    with or without the floors, to seed from a prior run.  Without it,
+    `_level_streams` makes both with the target's floors, consulting and
+    feeding the cache when one is given, and `workers` spreads its walks
+    from the root over its process pool.  The pair scan runs in this
+    process.
     """
     t0 = time.perf_counter()
-    if prefixes is None or suffixes is None:
-        prefixes, suffixes = _level_streams(
-            target, prefixes, suffixes, workers=workers, cache=cache, log=log
-        )
+    if streams is None:
+        streams = _level_streams(target, workers=workers, cache=cache, log=log)
+    prefixes, suffixes = streams
     if log:
         log(
             f"k={target.k} n={target.n} pivot={target.pivot}: "
@@ -478,9 +468,10 @@ def find_extremal_restricted(
                         log=log,
                     )
                     elapsed = time.perf_counter() - t0
-                prefixes, suffixes = streams if n == base else _level_streams(target, lower=streams)
                 scanned.append(n)
-                report = search_restricted(target, prefixes=prefixes, suffixes=suffixes, log=log)
+                report = search_restricted(
+                    target, streams=streams if n == base else _level_streams(target, lower=streams), log=log
+                )
                 if report.bases:
                     break
             else:

@@ -128,7 +128,7 @@ def test_criterion_5_length_41_seeded(restricted_fixtures):
     if prefixes is None:
         pytest.skip(f"prefix cache for (k=20, range>=139) not found under {cache_dir}")
     assert len(prefixes) == 5514
-    report = search_restricted(target, prefixes=prefixes)
+    report = search_restricted(target, streams=(prefixes, prefixes))
     assert report.n == 562
     assert set(report.bases) == {f.basis for f in restricted_fixtures[41]}
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
 from addbasis.core import MAX_ELEMENT, atomic_write, basis_range, read_bases, sumset_bits, write_bases
-from addbasis.enumeration import EnumSpec, Workers, _floor_step, enumerate_admissible, stems
+from addbasis.enumeration import EnumSpec, Workers, _floor_step, enumerate_admissible
 from addbasis.mitm import SearchTarget, upper_bound_restricted
 from addbasis.oracle import all_admissible
 
@@ -167,12 +167,13 @@ class TestPartialState:
 
 
 class TestNextCandidates:
-    """A node's candidates, as the walk generates them: stems(len(node),
-    node) extends the node by each admissible next element."""
+    """A node's candidates, as the walk generates them: the stream of
+    length len(node) below the node extends it by each admissible next
+    element."""
 
     @staticmethod
     def candidates(node):
-        return [s[-1] for s in stems(len(node), node)]
+        return [s[-1] for s in enumerate_admissible(EnumSpec(len(node)), extend=[node])]
 
     def test_worked_example(self):
         assert self.candidates((0, 1, 3, 4)) == [5, 6, 7, 8, 9]
@@ -186,7 +187,7 @@ class TestNextCandidates:
         # the walk starts at the node's parent, whose first gap is below
         # the node's last element; at extra = -1 the node is full length
         # and gets the same check
-        assert stems(len(node) + extra, node) == []
+        assert list(enumerate_admissible(EnumSpec(len(node) + extra), extend=[node])) == []
 
     @given(bases)
     def test_candidates_keep_admissibility(self, basis):
@@ -259,7 +260,7 @@ class TestFloors:
         spec = self.SPEC
         whole = list(enumerate_admissible(spec))
         assert whole == [b for b in enumerate_admissible(EnumSpec(7, 22)) if meets(b, spec.floors)]
-        parts = stems(depth)
+        parts = list(enumerate_admissible(EnumSpec(depth)))
         pieces = []
         for stem in parts:
             pieces.extend(enumerate_admissible(spec, extend=[stem]))
@@ -287,8 +288,9 @@ class TestExtend:
         whole, _ = spec_stem
         depth = data.draw(st.integers(min_value=1, max_value=whole.length))
         expected = list(enumerate_admissible(whole))
-        assert list(enumerate_admissible(whole, extend=stems(depth))) == expected
-        assert list(enumerate_admissible(whole, extend=stems(depth), prune=False)) == expected
+        parts = list(enumerate_admissible(EnumSpec(depth)))
+        assert list(enumerate_admissible(whole, extend=parts)) == expected
+        assert list(enumerate_admissible(whole, extend=parts, prune=False)) == expected
         floors = whole.floors
         if whole.length >= 2 and max(floors[:-1]) == floors[-2]:
             # the shorter stream's min_range is the floor of its depth
@@ -319,7 +321,7 @@ class TestExtend:
     def test_walks_in_this_process(self, started_pools):
         spec = EnumSpec(7, 16)
         with Workers(2) as workers:
-            out = list(enumerate_admissible(spec, workers=workers, extend=stems(3)))
+            out = list(enumerate_admissible(spec, workers=workers, extend=enumerate_admissible(EnumSpec(3))))
         assert out == list(enumerate_admissible(spec))
         assert started_pools == []
 
@@ -389,7 +391,7 @@ class TestFloorStep:
         with Workers(processes) as workers:
             pieces = [
                 b
-                for stem in stems(depth)
+                for stem in enumerate_admissible(EnumSpec(depth))
                 for b in enumerate_admissible(spec, workers=workers, extend=[stem])
             ]
         assert pieces == serial
@@ -426,7 +428,7 @@ class TestEnumerate:
     def test_prune_does_not_change_short_stems(self, k, short):
         # stems one or two elements short of the k + 1 of a leaf enter the
         # last two levels directly, as the pool's deepened stems can
-        for stem in stems(k - short):
+        for stem in enumerate_admissible(EnumSpec(k - short)):
             for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
                 spec = EnumSpec(k, threshold)
                 got = list(enumerate_admissible(spec, extend=[stem]))
@@ -454,22 +456,10 @@ class TestEnumerate:
         spec = EnumSpec(6, 12)
         whole = list(enumerate_admissible(spec))
         pieces = []
-        for stem in stems(depth):
+        for stem in enumerate_admissible(EnumSpec(depth)):
             pieces.extend(enumerate_admissible(spec, extend=[stem]))
         assert sorted(pieces) == whole
         assert len(pieces) == len(set(pieces))
-
-    def test_stems_small(self):
-        assert stems(1) == [(0, 1)]
-        assert stems(2) == [(0, 1, 2), (0, 1, 3)]
-
-    def test_stems_reject_a_stem_deeper_than_the_depth(self):
-        with pytest.raises(ValueError, match=r"stem \(0, 1, 2\) .* depth 1"):
-            stems(1, (0, 1, 2))
-
-    def test_stems_reject_a_stem_that_is_not_a_basis(self):
-        with pytest.raises(ValueError, match="strictly increase"):
-            stems(3, (0, 2, 2))
 
     def test_parallel_equals_serial(self):
         # 756 bases, partitioned below the root
@@ -527,6 +517,24 @@ class TestWorkers:
             workers.imap = counting_imap
             assert list(enumerate_admissible(EnumSpec(length, min_range), workers=workers)) == []
         assert len(sent) == jobs
+
+    def test_split_drops_stems_below_a_floor(self):
+        # the shorter stream of SearchTarget.create(12, 64): of the 17
+        # plain stems of depth 4, 8 reach the floors, and only they ship
+        spec = EnumSpec(5, 14, floors=SearchTarget.create(12, 64).floors[:5])
+        sent = []
+        with Workers(2) as workers:
+            imap = workers.imap
+
+            def counting_imap(func, items):
+                items = list(items)
+                sent.extend(items)
+                return imap(func, items)
+
+            workers.imap = counting_imap
+            parallel = list(enumerate_admissible(spec, workers=workers))
+        assert len(sent) == 8
+        assert parallel == list(enumerate_admissible(spec))
 
     def test_imap_keeps_job_order(self):
         with Workers(2) as workers:

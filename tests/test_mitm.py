@@ -221,7 +221,7 @@ class TestAssemble:
     @staticmethod
     def glue(k, n, prefix, mirrored_suffix):
         target = SearchTarget.create(k, n, len(prefix) - 1)
-        return search_restricted(target, prefixes=[prefix], suffixes=[mirrored_suffix]).bases
+        return search_restricted(target, streams=([prefix], [mirrored_suffix])).bases
 
     def test_glues(self):
         assert self.glue(6, 16, (0, 1, 3), (0, 1, 3, 4)) == ((0, 1, 3, 4, 5, 7, 8),)
@@ -290,10 +290,8 @@ class TestSearch:
         suffixes = list(
             enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range))
         )
-        seeded = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+        seeded = search_restricted(target, streams=(prefixes, suffixes))
         assert seeded == auto
-        prefix_only = search_restricted(target, prefixes=prefixes)
-        assert prefix_only == auto
 
     def test_pivot_changes_streams_not_results(self):
         default = search_restricted(SearchTarget.create(10, 44))
@@ -320,7 +318,7 @@ class TestSearch:
         suffixes = list(
             enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range), prune=False)
         )
-        unpruned = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+        unpruned = search_restricted(target, streams=(prefixes, suffixes))
         assert unpruned == search_restricted(target)
         assert unpruned.bases
 
@@ -398,7 +396,7 @@ class TestExtension:
                 i, j = target.pivot, target.suffix_length
                 prefixes = list(enumerate_admissible(floored_spec(target, i, target.prefix_min_range)))
                 suffixes = list(enumerate_admissible(floored_spec(target, j, target.suffix_min_range)))
-                direct = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+                direct = search_restricted(target, streams=(prefixes, suffixes))
                 report = search_restricted(target)
                 assert report == direct, target
                 assert (report.prefix_count, report.suffix_count) == (len(prefixes), len(suffixes))
@@ -424,8 +422,8 @@ class TestExtension:
 
 class TestExtensionCache:
     """A cache that holds only one of the two streams of a level whose
-    streams differ by one element, or a caller that gives only one, gives
-    the report of a cold search."""
+    streams differ by one element gives the report of a cold search, and
+    streams given as a pair are used as they are."""
 
     TARGET = SearchTarget.create(12, 64)
     SHORT = (5, TARGET.suffix_min_range, TARGET.floors[:5])
@@ -478,16 +476,16 @@ class TestExtensionCache:
         assert enum_calls == [(5, False)]
         assert any(f"bases of length {length}" in m and "cache hit" in m for m in messages)
 
-    @pytest.mark.parametrize("given,stream,walked", [("prefixes", LONG, 5), ("suffixes", SHORT, 6)])
-    def test_a_given_stream_is_not_extended_from(self, enum_calls, given, stream, walked):
-        # a plain stream given alone is used as it is: the other stream,
-        # one element shorter or longer, is walked from the root
+    def test_given_streams_are_not_enumerated(self, enum_calls):
+        # plain streams, without the floors, given as the pair: the search
+        # scans them as they are and enumerates nothing
         cold = search_restricted(self.TARGET)
         enum_calls.clear()
-        length, min_range, _ = stream
-        plain = list(enumerate_admissible(EnumSpec(length, min_range)))
-        assert search_restricted(self.TARGET, **{given: plain}) == cold
-        assert enum_calls == [(walked, False)]
+        plain = tuple(
+            list(enumerate_admissible(EnumSpec(length, min_range))) for length, min_range, _ in (self.LONG, self.SHORT)
+        )
+        assert search_restricted(self.TARGET, streams=plain) == cold
+        assert enum_calls == []
 
 
 class TestPairScan:
@@ -496,7 +494,7 @@ class TestPairScan:
 
     @staticmethod
     def check(target, prefixes, suffixes):
-        report = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+        report = search_restricted(target, streams=(prefixes, suffixes))
         assert list(report.bases) == naive_gluing(target.n, prefixes, suffixes), target
 
     @pytest.mark.parametrize("k", range(3, 20))

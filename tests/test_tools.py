@@ -1,0 +1,35 @@
+"""The benchmark tools under tools/ still run against the library.
+
+No test times anything: each tool runs once at its smallest setting, or
+prints its usage, so a tool that calls a renamed or removed name fails
+here rather than on its next use.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def run_tool(name, *argv):
+    """Run tools/<name> with argv; its stdout on exit 0."""
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / name), *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["bench_scan.py", "bench_pool.py"])
+def test_one_round(name):
+    rows = [json.loads(line) for line in run_tool(name, "--rounds", "1", "--json").splitlines()]
+    assert rows
+
+
+@pytest.mark.parametrize("name", ["bench_dfs.py", "bench_io.py", "bench_split.py"])
+def test_help(name):
+    assert "usage:" in run_tool(name, "--help")

@@ -1,7 +1,7 @@
 """Time the meet-in-the-middle pair scan on fixed levels.
 
-Each level is one `search_restricted(target, prefixes=P, suffixes=S)`
-call on the floored streams that the search itself scans, made by
+Each level is one `search_restricted(target, streams=(P, S))` call on
+the floored streams that the search itself scans, made by
 `mitm._level_streams` before the timed region, so the time is the
 gluing alone: building the records and scanning the pairs.  Time is
 `time.process_time` (CPU seconds of this process), so the numbers do not
@@ -61,7 +61,7 @@ def pair_counts(n: int, prefixes: list, suffixes: list) -> tuple[int, int]:
 def time_level(target: SearchTarget, prefixes: list, suffixes: list) -> tuple[int, float]:
     """Bases found and the CPU seconds the search took on given streams."""
     start = time.process_time()
-    report = search_restricted(target, prefixes=prefixes, suffixes=suffixes)
+    report = search_restricted(target, streams=(prefixes, suffixes))
     return report.count, time.process_time() - start
 
 
