@@ -1,4 +1,8 @@
-"""Search tools for extremal restricted additive 2-bases."""
+"""Search tools for extremal restricted additive 2-bases.
+
+The brute-force oracle (`brute_force`, `OracleResult`) is loaded on first
+use, so a search never imports it.
+"""
 
 __version__ = "0.1.0"
 
@@ -21,4 +25,14 @@ from .mitm import (  # noqa: E402,F401
     search_restricted,
     upper_bound_restricted,
 )
-from .oracle import OracleResult, brute_force  # noqa: E402,F401
+
+_ORACLE_NAMES = ("OracleResult", "brute_force")
+
+
+def __getattr__(name: str):
+    # PEP 562: only names the module does not define come here
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ write_bases, atomic_write).
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from functools import cache
@@ -134,6 +133,9 @@ def unrestricted_extremal_fixtures() -> dict[int, tuple[Fixture, ...]]:
 def render_report(report: "SearchReport", fmt: str = "text") -> str:
     """Serialize a report; `text` is the on-disk format, `json` mirrors it."""
     if fmt == "json":
+        # imported here: a run that renders no JSON never loads json
+        import json
+
         doc = {
             "k": report.k,
             "n": report.n,

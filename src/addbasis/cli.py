@@ -46,6 +46,14 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, so `taskset -c 1` gives 1, else all cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _threads(text: str) -> int:
     cores = os.cpu_count() or 1
     try:
@@ -227,8 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, threads=True, out=True, cache=False):
         if threads:
-            p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
-                           help="worker processes, at most the number of cores (default: all)")
+            p.add_argument("--threads", type=_threads, default=_usable_cpus(),
+                           help="worker processes, at most the number of cores "
+                                "(default: the CPUs this process may run on)")
         if out:
             p.add_argument("--out", help="write results to this file instead of stdout")
             p.add_argument("--format", choices=("text", "json"), default="text")

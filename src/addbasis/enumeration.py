@@ -101,7 +101,10 @@ pools (0.11 s to start them, 0.05 s to stop them; BENCH_11.json), so a
 search opens one `Workers` and passes it to every stream.  It starts its
 pool on the first parallel map, not when it is opened, so a search whose
 streams all come from a cache, or are given, forks no process; the pool
-is closed when the `with` block ends, also on an exception.
+is closed when the `with` block ends, also on an exception.  The
+`multiprocessing` module is imported with the first pool too: a serial
+run never needs it, and its import costs a fresh process about 10 ms,
+nearly the 13 ms search of the serial k = 22 descent.
 
 A parallel stream is split into stems one level at a time.  The stems
 of depth d are the admissible partial bases of d + 1 elements that reach
@@ -118,7 +121,6 @@ worker balance; deeper stems need `STEMS_PER_WORKER`.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -381,7 +383,8 @@ class Workers:
     and closed, through the pool's own `__exit__`, when the `with` block
     ends, also on an exception or KeyboardInterrupt.  Callers map in
     their own process when processes <= 1, so such a `Workers` never
-    starts a pool.
+    starts a pool.  `multiprocessing` is loaded with the first pool, so
+    a run that starts none never imports it.
     """
 
     def __init__(self, processes: int = 1) -> None:
@@ -401,8 +404,11 @@ class Workers:
         """func over jobs in the pool, one job per task, results in job
         order."""
         if self._pool is None:
-            # looked up at call time, so that a wrapper on the module
-            # attribute sees every pool
+            # imported here, so that a run that starts no pool never loads
+            # multiprocessing, and Pool is looked up at call time, so that
+            # a wrapper on the module attribute sees every pool
+            import multiprocessing
+
             self._pool = multiprocessing.Pool(self.processes)
         return self._pool.imap(func, jobs, chunksize=1)
 

@@ -190,6 +190,17 @@ class TestSearch:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        # as under `taskset -c 1` on a host with more cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert cli._build_parser().parse_args(["extremal", "-k", "5"]).threads == 1
+        # the upper bound stays the number of cores
+        assert cli._build_parser().parse_args(["extremal", "-k", "5", "--threads", "4"]).threads == 4
+        # without an affinity call, all cores
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._build_parser().parse_args(["extremal", "-k", "5"]).threads == 4
+
     def test_threads_not_a_number_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "-k", "5", "-n", "16", "--threads", "x"])

@@ -382,8 +382,9 @@ class TestFloorStep:
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
-    def test_stems_give_the_serial_stream(self, depth, processes):
-        # the stems are walked in this process, with or without a pool
+    def test_stems_give_the_serial_stream(self, depth, processes, started_pools):
+        # `extend` walks the stems in this process, so even a Workers of 2
+        # processes starts no pool
         spec = self.SPEC
         serial = list(enumerate_admissible(spec))
         assert serial == [b for b in enumerate_admissible(EnumSpec(7, 22)) if meets(b, spec.floors)]
@@ -395,6 +396,7 @@ class TestFloorStep:
                 for b in enumerate_admissible(spec, workers=workers, extend=[stem])
             ]
         assert pieces == serial
+        assert started_pools == []
 
 
 class TestEnumerate:

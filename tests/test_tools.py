@@ -33,3 +33,18 @@ def test_one_round(name):
 @pytest.mark.parametrize("name", ["bench_dfs.py", "bench_io.py", "bench_split.py"])
 def test_help(name):
     assert "usage:" in run_tool(name, "--help")
+
+
+def test_startup_against_a_checkout():
+    # the repository against itself, so every extremal row prints the same
+    rows = [
+        json.loads(line)
+        for line in run_tool(
+            "bench_startup.py", "--rounds", "1", "--lengths", "3", "--threads", "1",
+            "--against", str(TOOLS.parent),
+        ).splitlines()
+    ]
+    assert [(row["case"], row["side"]) for row in rows] == [
+        (case, side) for case in ("python", "import", "extremal") for side in ("this", "against")
+    ]
+    assert all(row["same_stdout"] for row in rows if row["case"] == "extremal")
