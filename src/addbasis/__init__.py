@@ -15,7 +15,6 @@ from .core import (  # noqa: E402,F401
     classify,
     format_basis,
     mirror,
-    parse_basis,
 )
 from .enumeration import EnumSpec, Workers, enumerate_admissible  # noqa: E402,F401
 from .mitm import (  # noqa: E402,F401

@@ -1,4 +1,4 @@
-"""Known extremal values, published extremal bases, reports and the stream cache.
+"""Known extremal values, published extremal bases and the stream cache.
 
 Two integer sequences anchor everything here.  n2(k) is the extremal
 range over all admissible bases of length k, known for k <= 24 (OEIS
@@ -11,13 +11,9 @@ restricted bases for k = 1..41 (runs of equally spaced elements expanded
 by tools/transcribe_fixtures.py, which re-verifies every row), plus the
 two length-10 bases that attain the nonrestricted extremum.
 
-Also here: the text/JSON rendering of search reports, and a disk cache of
-enumerated prefix streams keyed by (length, min_range, floors, tool
-version).
-Reports are rendered, not persisted: the CLI writes the rendered document
-to stdout or --out, and it reads back with core.read_bases (text) or json.
-The cache reads and writes its entries through core (read_bases,
-write_bases, atomic_write).
+Also here: a disk cache of enumerated prefix streams keyed by (length,
+min_range, floors, tool version).  The cache reads and writes its entries
+through core (read_bases, write_bases, atomic_write).
 """
 
 from __future__ import annotations
@@ -27,13 +23,10 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import Basis, as_basis, atomic_write, format_basis, reaches_floors, read_bases, write_bases
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .mitm import SearchReport
+from .core import Basis, as_basis, atomic_write, reaches_floors, read_bases, write_bases
 
 
 class CatalogMissingError(LookupError):
@@ -125,35 +118,6 @@ def extremal_restricted_fixtures() -> dict[int, tuple[Fixture, ...]]:
 def unrestricted_extremal_fixtures() -> dict[int, tuple[Fixture, ...]]:
     """Published extremal bases that beat the restricted range (k=10 only)."""
     return _load_fixture_file("unrestricted_extremal.txt")
-
-
-# --- search reports ---
-
-
-def render_report(report: "SearchReport", fmt: str = "text") -> str:
-    """Serialize a report; `text` is the on-disk format, `json` mirrors it."""
-    if fmt == "json":
-        # imported here: a run that renders no JSON never loads json
-        import json
-
-        doc = {
-            "k": report.k,
-            "n": report.n,
-            "pivot": report.pivot,
-            "count": len(report.bases),
-            "bases": [list(b) for b in report.bases],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = [
-        f"# k={report.k}",
-        f"# n={report.n}",
-        f"# pivot={report.pivot}",
-        f"# count={len(report.bases)}",
-    ]
-    lines.extend(format_basis(b) for b in report.bases)
-    return "\n".join(lines) + "\n"
 
 
 # --- prefix stream cache ---

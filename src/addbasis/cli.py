@@ -24,15 +24,10 @@ from contextlib import nullcontext
 from typing import IO, Sequence
 
 from . import __version__
-from .catalog import (
-    DEFAULT,
-    CatalogMissingError,
-    PrefixCache,
-    render_report,
-)
+from .catalog import DEFAULT, CatalogMissingError, PrefixCache
 from .core import atomic_write, classify, format_basis, read_bases, write_bases
 from .enumeration import EnumSpec, Workers, enumerate_admissible
-from .mitm import SearchTarget, find_extremal_restricted, search_restricted
+from .mitm import SearchReport, SearchTarget, find_extremal_restricted, search_restricted
 from .oracle import DEFAULT_LIMIT, brute_force, format_result
 
 CACHE_ENV = "ADDBASIS_CACHE_DIR"
@@ -81,8 +76,25 @@ def cmd_search(args, out: IO[str]) -> int:
             cache=_cache_from(args),
             log=_log,
         )
-    out.write(render_report(report, args.format))
+    _write_report(out, args.format, report)
     return 0 if report.bases else 1
+
+
+def _write_report(out: IO[str], fmt: str, report: SearchReport) -> None:
+    """A report: the header k, n, pivot, count, then the bases."""
+    header = {"k": report.k, "n": report.n, "pivot": report.pivot, "count": report.count}
+    _write_document(out, fmt, header, report.bases)
+
+
+def _write_document(out: IO[str], fmt: str, header: dict, bases) -> None:
+    """Write a header and bases of header["k"] + 1 elements each: as text
+    through core.write_bases, or as json.dumps({**header, "bases": ...},
+    indent=2) one basis at a time."""
+    if fmt == "text":
+        write_bases(out, header, bases)
+        return
+    template = _json_template(["%s"] * (header["k"] + 1), 2)
+    _write_json_bases(out.write, header, (template % b for b in bases))
 
 
 def cmd_extremal(args, out: IO[str]) -> int:
@@ -109,7 +121,7 @@ def cmd_extremal(args, out: IO[str]) -> int:
         return 0
     # the summary lines stay on stdout; the report goes to --out when given
     sys.stdout.write(f"n2*({report.k}) = {report.n}\n")
-    out.write(render_report(report, args.format))
+    _write_report(out, "text", report)
     if known is not None:
         verdict = "MATCH" if known == report.n else "MISMATCH"
         sys.stdout.write(f"{verdict}: catalog n2*({report.k}) = {known}\n")
@@ -127,9 +139,7 @@ def cmd_enumerate(args, out: IO[str]) -> int:
         # `count` comes before `bases`, so the stream is held, but not a
         # second copy of it as lists or as one document string
         bases = list(bases)
-    # every basis of the stream has spec.length + 1 elements
-    template = _json_template(["%s"] * (spec.length + 1), 2)
-    _write_json_bases(out.write, {**header, "count": len(bases)}, (template % b for b in bases))
+    _write_document(out, "json", {**header, "count": len(bases)}, bases)
     return 0
 
 

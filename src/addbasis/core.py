@@ -13,13 +13,15 @@ Python int used as a bit vector (bit t set iff t is a pairwise sum), so
 the first-gap scan and subset tests are word-parallel no matter how large
 the basis gets.
 
-Lists of bases are stored in one text format, read by read_bases and
-written by write_bases; files are written through atomic_write.  A basis
-line is its elements one space apart, and _template is the one statement
-of that format: format_basis and write_bases fill it with a single `%`
-operation.  BasisClass is a plain (not frozen) slots record, since a
-frozen one sets each field through object.__setattr__, which cost about
-a quarter of classify; nothing hashes or mutates one.
+Lists of bases (streams, cache entries and the CLI's reports) are stored
+in one text format: `# key=value` header lines and one basis per line.
+read_bases is its one reader and write_bases its one writer; files are
+written through atomic_write.  A basis line is its elements one space
+apart, and _template is the one statement of that format: format_basis
+and write_bases fill it with a single `%` operation.  BasisClass is a
+plain (not frozen) slots record, since a frozen one sets each field
+through object.__setattr__, which cost about a quarter of classify;
+nothing hashes or mutates one.
 """
 
 from __future__ import annotations
@@ -160,23 +162,11 @@ def format_basis(basis: Sequence[int]) -> str:
     return _template(len(basis)) % tuple(basis)
 
 
-def parse_basis(text: str, lineno: int | None = None) -> Basis:
-    """Parse one space-separated basis line; errors carry the line number."""
-    where = f"line {lineno}: " if lineno is not None else ""
-    tokens = text.split()
-    if not tokens:
-        raise BasisError(where + "empty basis line")
-    try:
-        return as_basis(tokens)
-    except BasisError as exc:
-        raise BasisError(where + str(exc)) from None
-    except ValueError:
-        raise BasisError(where + f"non-integer token in {text!r}") from None
-
-
 def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequence[int]]) -> int:
     """Write a stream: one `# key=value` line per header item, one basis
     per line, then `# count=N` last, since N is known only at the end.
+    A header that already states `count`, as a report's does, is not
+    followed by a second one; read_bases accepts it in either place.
     Returns N."""
     write = f.write
     for key, value in header.items():
@@ -191,7 +181,8 @@ def write_bases(f: IO[str], header: Mapping[str, object], bases: Iterable[Sequen
             template = templates[n] = _template(n) + "\n"
         write(template % tuple(basis))
         count += 1
-    write(f"# count={count}\n")
+    if "count" not in header:
+        write(f"# count={count}\n")
     return count
 
 
@@ -239,23 +230,22 @@ def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, s
     meta: dict[str, str] = {}
     bases: list[Basis] = []
     append = bases.append
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0][0] == "#":
-                key, sep, value = line.strip()[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            try:
-                append(as_basis(tokens))
-            except ValueError:
-                # parse_basis raises the error that names the line
-                append(parse_basis(line.strip(), lineno))
-    except BasisError as exc:
-        raise BasisError(f"{name}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if tokens[0][0] == "#":
+            key, sep, value = line.strip()[1:].partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            continue
+        try:
+            append(as_basis(tokens))
+        except BasisError as exc:
+            raise BasisError(f"{name}: line {lineno}: {exc}") from None
+        except ValueError:
+            # int() rejected a token
+            raise BasisError(f"{name}: line {lineno}: non-integer token in {line.strip()!r}") from None
     if "count" in meta:
         try:
             count = int(meta["count"])

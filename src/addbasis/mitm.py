@@ -180,8 +180,8 @@ class SearchTarget:
 class SearchReport:
     """Outcome of one search level: the instance and every basis found.
 
-    prefix_count / suffix_count / elapsed are runtime metadata; they are
-    not persisted by the report serialization.
+    prefix_count / suffix_count / elapsed are runtime metadata; the
+    report the CLI writes leaves them out.
     """
 
     k: int

@@ -1,20 +1,16 @@
-"""Tests for the value catalog, fixtures, report rendering and the stream cache."""
+"""Tests for the value catalog, fixtures, the report layout and the stream cache."""
 
+import io
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from addbasis import catalog
-from addbasis.catalog import (
-    DEFAULT,
-    CatalogMissingError,
-    CatalogTable,
-    PrefixCache,
-    render_report,
-)
-from addbasis.core import classify, format_basis, read_bases
-from addbasis.mitm import SearchReport, SearchTarget, _certainly_empty, search_restricted
+from addbasis.catalog import DEFAULT, CatalogMissingError, CatalogTable, PrefixCache
+from addbasis.cli import main
+from addbasis.core import classify, format_basis, read_bases, write_bases
+from addbasis.mitm import SearchTarget, _certainly_empty, search_restricted
 
 
 class TestKnownValues:
@@ -129,42 +125,38 @@ class TestFixtures:
             assert cls.admissible and not cls.restricted and not cls.symmetric
 
 
-def _sample_report():
-    return SearchReport(
-        k=3,
-        n=8,
-        pivot=1,
-        bases=((0, 1, 3, 4),),
-        prefix_count=1,
-        suffix_count=1,
-        elapsed=0.25,
-    )
-
-
 class TestReports:
-    def test_text_rendering(self):
-        text = render_report(_sample_report())
-        assert text == "# k=3\n# n=8\n# pivot=1\n# count=1\n0 1 3 4\n"
+    """A report is a header k, n, pivot, count and the bases, written by
+    core.write_bases; `search -k 3 -n 8` finds the one basis 0 1 3 4."""
 
-    def test_rendering_is_deterministic(self):
-        report = _sample_report()
-        assert render_report(report) == render_report(report)
-        assert render_report(report, "json") == render_report(report, "json")
+    HEADER = {"k": 3, "n": 8, "pivot": 1, "count": 1}
+    TEXT = "# k=3\n# n=8\n# pivot=1\n# count=1\n0 1 3 4\n"
+    SEARCH = ["search", "-k", "3", "-n", "8", "--threads", "1"]
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            render_report(_sample_report(), "yaml")
+    def test_text_rendering(self, capsys):
+        f = io.StringIO()
+        assert write_bases(f, self.HEADER, [(0, 1, 3, 4)]) == 1
+        assert f.getvalue() == self.TEXT
+        assert main(self.SEARCH) == 0
+        assert capsys.readouterr().out == self.TEXT
 
     def test_text_roundtrip(self):
         # the text form reads back through the one header + bases reader
-        report = _sample_report()
-        meta, bases = read_bases(render_report(report).splitlines(), "report.txt")
+        meta, bases = read_bases(self.TEXT.splitlines(), "report.txt")
         assert meta == {"k": "3", "n": "8", "pivot": "1", "count": "1"}
-        assert tuple(bases) == report.bases
+        assert bases == [(0, 1, 3, 4)]
 
-    def test_json_roundtrip(self):
-        doc = json.loads(render_report(_sample_report(), "json"))
+    def test_json_roundtrip(self, capsys):
+        assert main([*self.SEARCH, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc == {"k": 3, "n": 8, "pivot": 1, "count": 1, "bases": [[0, 1, 3, 4]]}
+
+    def test_unknown_format_rejected(self, capsys):
+        # --format takes text or json only, a usage error before any search
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SEARCH, "--format", "yaml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
     def test_count_mismatch_detected(self):
         text = "# k=3\n# n=8\n# pivot=1\n# count=2\n0 1 3 4\n"

@@ -15,8 +15,9 @@ import addbasis
 from addbasis import __version__, cli
 from addbasis.catalog import PrefixCache
 from addbasis.cli import _json_template, main
-from addbasis.core import MAX_ELEMENT, parse_basis, read_bases, write_bases
+from addbasis.core import MAX_ELEMENT, read_bases, write_bases
 from addbasis.enumeration import EnumSpec, enumerate_admissible
+from addbasis.mitm import SearchTarget, search_restricted
 
 
 def run(capsys, *argv):
@@ -62,11 +63,10 @@ OUT_EQUALS_STDOUT = {
 
 
 def stdout_bases(out):
-    return [
-        parse_basis(line)
-        for line in out.splitlines()
-        if line and not line.startswith("#") and not line.startswith(("n2", "MATCH", "MISMATCH"))
-    ]
+    """The bases of the text report or stream on stdout, through read_bases,
+    which also checks its count; `extremal`'s summary lines are left out."""
+    lines = [line for line in out.splitlines() if not line.startswith(("n2", "MATCH", "MISMATCH"))]
+    return read_bases(lines, "<stdout>")[1]
 
 
 class TestSearch:
@@ -143,6 +143,16 @@ class TestSearch:
         doc = json.loads(out)
         assert doc["k"] == 9 and doc["n"] == 40
         assert doc["count"] == len(doc["bases"])
+
+    @pytest.mark.parametrize("k, n, code", [(9, 40, 0), (10, 46, 1)])
+    def test_json_equals_json_dumps(self, capsys, k, n, code):
+        # written one basis at a time, laid out as json.dumps lays out the
+        # whole document; k = 10, n = 46 holds no basis
+        report = search_restricted(SearchTarget.create(k, n))
+        doc = {"k": k, "n": n, "pivot": report.pivot, "count": report.count,
+               "bases": [list(b) for b in report.bases]}
+        got = run(capsys, "search", "-k", str(k), "-n", str(n), "--threads", "1", "--format", "json")
+        assert got[:2] == (code, json.dumps(doc, indent=2) + "\n")
 
     def test_cache_dir_flag(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"

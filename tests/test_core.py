@@ -16,7 +16,6 @@ from addbasis.core import (
     classify,
     format_basis,
     mirror,
-    parse_basis,
     read_bases,
     sumset_bits,
     write_bases,
@@ -233,27 +232,27 @@ class TestTextForm:
         assert f.getvalue() == "0 2.5\n# count=1\n"
 
     def test_parse(self):
-        assert parse_basis("0 1 3 4") == (0, 1, 3, 4)
+        assert read_bases(["0 1 3 4"]) == ({}, [(0, 1, 3, 4)])
 
     @given(bases)
     def test_roundtrip(self, basis):
-        assert parse_basis(format_basis(basis)) == basis
+        assert read_bases([format_basis(basis)]) == ({}, [basis])
 
     def test_parse_rejects_unsorted(self):
-        with pytest.raises(BasisError):
-            parse_basis("0 3 1")
+        with pytest.raises(BasisError, match="got 3 then 1"):
+            read_bases(["0 3 1"])
 
     def test_parse_rejects_nonzero_start(self):
-        with pytest.raises(BasisError):
-            parse_basis("1 2 3")
+        with pytest.raises(BasisError, match="starts at 0"):
+            read_bases(["1 2 3"])
 
     def test_parse_rejects_junk(self):
         with pytest.raises(BasisError, match="non-integer"):
-            parse_basis("0 1 x")
+            read_bases(["0 1 x"])
 
     def test_parse_error_carries_line_number(self):
-        with pytest.raises(BasisError, match="line 7"):
-            parse_basis("0 2 1", lineno=7)
+        with pytest.raises(BasisError, match="^s.txt: line 7: "):
+            read_bases(["# k=2", "", "0 1", "0 1 2", "0 2", "0 1 3", "0 2 1"], "s.txt")
 
     def test_read_bases_skips_comments_and_reports_lines(self):
         good = io.StringIO("# header\n# k = 3\n0 1\n\n0 1 3 4\n")
@@ -288,7 +287,7 @@ class TestTextForm:
         text = f"# k=3\n\n0 1 2\n{line}\n"
         if isinstance(expected, tuple):
             assert read_bases(io.StringIO(text), "bad.txt") == ({"k": "3"}, [(0, 1, 2), expected])
-            assert parse_basis(line) == as_basis(line.split()) == expected
+            assert as_basis(line.split()) == expected
         else:
             with pytest.raises(BasisError) as info:
                 read_bases(io.StringIO(text), "bad.txt")
@@ -325,6 +324,15 @@ class TestTextForm:
         assert f.getvalue() == "# k=2\n# min_range=0\n0 1 2\n0 1 3\n# count=2\n"
         f.seek(0)
         assert read_bases(f) == ({"k": "2", "min_range": "0", "count": "2"}, [(0, 1, 2), (0, 1, 3)])
+
+    def test_write_bases_count_in_header(self):
+        # a header that states `count`, as a report's does, gets no second one
+        f = io.StringIO()
+        header = {"k": 2, "n": 4, "pivot": 1, "count": 2}
+        assert write_bases(f, header, [(0, 1, 2), (0, 1, 3)]) == 2
+        assert f.getvalue() == "# k=2\n# n=4\n# pivot=1\n# count=2\n0 1 2\n0 1 3\n"
+        f.seek(0)
+        assert read_bases(f) == ({"k": "2", "n": "4", "pivot": "1", "count": "2"}, [(0, 1, 2), (0, 1, 3)])
 
     def test_write_bases_mixed_lengths(self):
         # lengths 1, 5, 12, then 5 again: one line template per length

@@ -1,6 +1,7 @@
 """A run loads a module only when it first uses it: a search imports
-neither `multiprocessing` nor `json` nor the oracle until it starts a pool,
-renders JSON or asks for the brute force."""
+neither `multiprocessing` nor the oracle until it starts a pool or asks
+for the brute force, and the library never imports `json`, which only
+the command line uses."""
 
 import os
 import subprocess

@@ -24,8 +24,9 @@ def run_tool(name, *argv):
     return proc.stdout
 
 
-@pytest.mark.parametrize("name", ["bench_scan.py", "bench_pool.py"])
+@pytest.mark.parametrize("name", ["bench_scan.py", "bench_pool.py", "bench_io.py"])
 def test_one_round(name):
+    # bench_io.py also checks that the stream survives store, load and verify
     rows = [json.loads(line) for line in run_tool(name, "--rounds", "1", "--json").splitlines()]
     assert rows
 
