@@ -17,7 +17,6 @@ no result, failed verification or closed stdout, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -25,10 +24,9 @@ from typing import IO, Sequence
 
 from . import __version__
 from .catalog import DEFAULT, CatalogMissingError, PrefixCache
-from .core import atomic_write, classify, format_basis, read_bases, write_bases
+from .core import _template, atomic_write, classify, read_bases, write_bases
 from .enumeration import EnumSpec, Workers, enumerate_admissible
 from .mitm import SearchReport, SearchTarget, find_extremal_restricted, search_restricted
-from .oracle import DEFAULT_LIMIT, brute_force, format_result
 
 CACHE_ENV = "ADDBASIS_CACHE_DIR"
 
@@ -108,6 +106,8 @@ def cmd_extremal(args, out: IO[str]) -> int:
     )
     known = DEFAULT.restricted.get(args.k)
     if args.format == "json":
+        import json
+
         doc = {
             "k": report.k,
             "n2_star": report.n,
@@ -161,36 +161,40 @@ def cmd_verify(args, out: IO[str]) -> int:
                 _, bases = read_bases(f, args.path)
     except ValueError as exc:
         raise _Failed(exc) from None
-    # every read error comes before any output; then one basis at a time
-    write = out.write
+    # every read error comes before any output; then one line per basis,
+    # from one `%` template per basis length
     if args.format == "json":
-        templates: dict[int, str] = {}
-        flag = {True: "true", False: "false"}
+        admissible = restricted = symmetric = {True: "true", False: "false"}
 
-        def records():
-            for basis in bases:
-                n = len(basis)
-                template = templates.get(n)
-                if template is None:
-                    record = {"elements": ["%s"] * n, "range": "%s",
-                              "admissible": "%s", "restricted": "%s", "symmetric": "%s"}
-                    template = templates[n] = _json_template(record, 2)
-                cls = classify(basis)
-                yield template % (
-                    *basis, cls.range, flag[cls.admissible], flag[cls.restricted], flag[cls.symmetric]
-                )
+        def template(n: int) -> str:
+            record = {"elements": ["%s"] * n, "range": "%s",
+                      "admissible": "%s", "restricted": "%s", "symmetric": "%s"}
+            return _json_template(record, 2)
+    else:
+        admissible = {True: "admissible", False: "not admissible"}
+        restricted = {True: "restricted", False: "not restricted"}
+        symmetric = {True: "symmetric", False: "asymmetric"}
 
-        _write_json_bases(write, {}, records())
-        return 0
-    for basis in bases:
-        cls = classify(basis)
-        parts = [
-            f"range {cls.range}",
-            "admissible" if cls.admissible else "not admissible",
-            "restricted" if cls.restricted else "not restricted",
-            "symmetric" if cls.symmetric else "asymmetric",
-        ]
-        write(format_basis(basis) + ": " + ", ".join(parts) + "\n")
+        def template(n: int) -> str:
+            return _template(n) + ": range %s, %s, %s, %s\n"
+
+    templates: dict[int, str] = {}
+
+    def lines():
+        for basis in bases:
+            n = len(basis)
+            line = templates.get(n)
+            if line is None:
+                line = templates[n] = template(n)
+            cls = classify(basis)
+            yield line % (
+                *basis, cls.range, admissible[cls.admissible], restricted[cls.restricted], symmetric[cls.symmetric]
+            )
+
+    if args.format == "json":
+        _write_json_bases(out.write, {}, lines())
+    else:
+        out.writelines(lines())
     return 0
 
 
@@ -199,6 +203,8 @@ def _json_template(value, depth: int) -> str:
     string in value made a bare `%s` field and each line after the first
     indented by `depth` more levels, as the layout of json.dumps places
     a value nested that deep."""
+    import json
+
     text = json.dumps(value, indent=2).replace('"%s"', "%s")
     return text.replace("\n", "\n" + "  " * depth)
 
@@ -207,6 +213,8 @@ def _write_json_bases(write, header: dict, items) -> None:
     """Write json.dumps({**header, "bases": [...]}, indent=2) + "\n" one
     item at a time; each item is an element of "bases" already laid out
     two levels deep."""
+    import json
+
     write("{\n")
     for key, value in header.items():
         write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
@@ -220,8 +228,13 @@ def _write_json_bases(write, header: dict, items) -> None:
 
 
 def cmd_oracle(args, out: IO[str]) -> int:
-    result = brute_force(args.k, limit=args.oracle_limit)
+    from .oracle import DEFAULT_LIMIT, brute_force, format_result
+
+    limit = DEFAULT_LIMIT if args.oracle_limit is None else args.oracle_limit
+    result = brute_force(args.k, limit=limit)
     if args.format == "json":
+        import json
+
         doc = {
             "k": result.length,
             "n2": result.n2,
@@ -281,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force reference for small k")
     p.add_argument("-k", type=int, required=True, help="basis length")
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_LIMIT,
-                   help=f"largest k the brute force will accept (default {DEFAULT_LIMIT})")
+    # the oracle, and so oracle.DEFAULT_LIMIT, is loaded by cmd_oracle
+    p.add_argument("--oracle-limit", type=int,
+                   help="largest k the brute force will accept (default 10)")
     common(p, threads=False)
     p.set_defaults(func=cmd_oracle)
 

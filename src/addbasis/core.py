@@ -18,10 +18,19 @@ in one text format: `# key=value` header lines and one basis per line.
 read_bases is its one reader and write_bases its one writer; files are
 written through atomic_write.  A basis line is its elements one space
 apart, and _template is the one statement of that format: format_basis
-and write_bases fill it with a single `%` operation.  BasisClass is a
-plain (not frozen) slots record, since a frozen one sets each field
-through object.__setattr__, which cost about a quarter of classify;
-nothing hashes or mutates one.
+and write_bases fill it with a single `%` operation.  read_bases converts
+each distinct token once per call, through a dict whose misses call
+int(), and hands the tuple to _checked, the validity rule that as_basis
+also applies.  A stream has few distinct tokens (the (10, 30) stream
+has 42 among 2,119,524), so nearly every token costs a dict lookup, not
+a parse.
+
+classify makes one sumset_bits call per basis, reads the range off it as
+basis_range does, and tests a_1 + a_{k-1} = a_k before the full symmetry
+check, which few bases pass.  BasisClass is a plain (not frozen) slots
+record, built positionally, since a frozen one sets each field through
+object.__setattr__, which cost about a quarter of classify; nothing
+hashes or mutates one.
 """
 
 from __future__ import annotations
@@ -49,15 +58,21 @@ class BasisError(ValueError):
 
 
 def as_basis(elements: Iterable[int]) -> Basis:
-    """Validate and normalize to a basis tuple.
-
-    This is the one statement of the validity rule: the elements, each
-    converted once with int(), start at 0, strictly increase and end at
-    most MAX_ELEMENT.  Valid input passes C-level checks only; the checks
-    that name what is wrong run only for invalid input.  An element that
-    int() rejects raises int()'s own ValueError.
+    """Validate and normalize to a basis tuple: each element converted
+    once with int(), then checked by _checked.  An element that int()
+    rejects raises int()'s own ValueError.
     """
-    elems = tuple(map(int, elements))
+    return _checked(tuple(map(int, elements)))
+
+
+def _checked(elems: Basis) -> Basis:
+    """Return a tuple of ints that is a basis, or raise BasisError.
+
+    This is the one statement of the validity rule, which as_basis and
+    read_bases both call: the elements start at 0, strictly increase and
+    end at most MAX_ELEMENT.  Valid input passes C-level checks only; the
+    checks that name what is wrong run only for invalid input.
+    """
     if elems and elems[0] == 0 and elems[-1] <= MAX_ELEMENT and all(map(lt, elems, elems[1:])):
         return elems
     if not elems:
@@ -139,14 +154,15 @@ class BasisClass:
 def classify(basis: Sequence[int]) -> BasisClass:
     """Classify a valid basis (admissible / restricted / symmetric)."""
     top = basis[-1]
-    rng = basis_range(basis)
-    sym = all(map(eq, map(add, basis, reversed(basis)), repeat(top)))
-    return BasisClass(
-        admissible=rng >= top,
-        restricted=rng >= 2 * top,
-        symmetric=sym,
-        range=rng,
+    bits = sumset_bits(basis)[1]
+    # the first gap minus one, as basis_range reads it
+    rng = ((~bits) & (bits + 1)).bit_length() - 2
+    # a_1 + a_{k-1} == a_k rules out most asymmetric bases before the
+    # full check; a basis of fewer than 3 elements is symmetric
+    sym = len(basis) < 3 or (
+        basis[1] + basis[-2] == top and all(map(eq, map(add, basis, reversed(basis)), repeat(top)))
     )
+    return BasisClass(rng >= top, rng >= 2 * top, sym, rng)
 
 
 def _template(n: int) -> str:
@@ -213,23 +229,44 @@ def atomic_write(path) -> Iterator[IO[str]]:
         raise
 
 
+class _Ints(dict):
+    """token -> int(token), converted on the first lookup of each token.
+
+    It holds at most LIMIT tokens and starts over when full, since a file
+    that never repeats a token, as one of huge hand-made elements can be,
+    would otherwise keep every token string alive: 190,000 lines of 11
+    such tokens peaked at 273 MB unbounded against 98 MB with int() alone.
+    A file whose elements stay below LIMIT, as every stream the search
+    writes does, fits whole.
+    """
+
+    LIMIT = 1 << 16
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= self.LIMIT:
+            self.clear()
+        value = self[token] = int(token)
+        return value
+
+
 def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, str], list[Basis]]:
     """Read the text format of streams, reports and cache entries.
 
     Lines of the form `# key=value` fill the header dict, wherever they
     appear (streams put `count` last, reports in the header); other `#`
     lines and blank lines are skipped; every other line is one basis.
-    `lines` is consumed one line at a time (a file is never read whole),
-    and each basis line is split and converted once and checked by
-    as_basis, the one validity rule: elements start at 0, strictly
-    increase and stay at most MAX_ELEMENT.  When the text carries `count`,
-    it must be an integer equal to the number of bases.  Errors are
-    ValueErrors that name the source and, for a basis line, its line
-    number.
+    `lines` is consumed one line at a time (a file is never read whole).
+    Each basis line is split, each distinct token is converted with int()
+    once per call, and the tuple is checked by _checked, the one validity
+    rule: elements start at 0, strictly increase and stay at most
+    MAX_ELEMENT.  When the text carries `count`, it must be an integer
+    equal to the number of bases.  Errors are ValueErrors that name the
+    source and, for a basis line, its line number.
     """
     meta: dict[str, str] = {}
     bases: list[Basis] = []
     append = bases.append
+    to_int = _Ints().__getitem__
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
@@ -240,7 +277,7 @@ def read_bases(lines: Iterable[str], name: str = "<input>") -> tuple[dict[str, s
                 meta[key.strip()] = value.strip()
             continue
         try:
-            append(as_basis(tokens))
+            append(_checked(tuple(map(to_int, tokens))))
         except BasisError as exc:
             raise BasisError(f"{name}: line {lineno}: {exc}") from None
         except ValueError:

@@ -420,6 +420,15 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "-k", "4", "--oracle-limit", "4")
         assert code == 0
 
+    def test_help_states_the_default_limit(self, capsys):
+        # the parser does not load the oracle, so the help line states the
+        # number itself; it must stay the oracle's own default
+        from addbasis.oracle import DEFAULT_LIMIT
+
+        with pytest.raises(SystemExit):
+            main(["oracle", "--help"])
+        assert f"(default {DEFAULT_LIMIT})" in " ".join(capsys.readouterr().out.split())
+
 
 class TestMisc:
     def test_version(self, capsys):

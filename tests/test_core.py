@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from addbasis.core import (
     MAX_ELEMENT,
+    _Ints,
     BasisClass,
     BasisError,
     as_basis,
@@ -30,6 +31,59 @@ bases = st.lists(
 int_sets = st.lists(
     st.integers(min_value=0, max_value=120), min_size=1, max_size=9, unique=True
 ).map(lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def symmetric_bases(draw):
+    """A basis closed under a -> top - a."""
+    top = draw(st.integers(min_value=0, max_value=120))
+    half = draw(st.lists(st.integers(min_value=0, max_value=top), max_size=5))
+    return tuple(sorted({0, top, *half, *(top - a for a in half)}))
+
+
+@st.composite
+def spelled(draw, value):
+    """A token that int() reads as value: a sign, leading zeros and "_"
+    between digits, each drawn."""
+    digits = str(abs(value))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(min_value=1, max_value=len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    digits = "0" * draw(st.integers(min_value=0, max_value=2)) + digits
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    return sign + digits
+
+
+@st.composite
+def spelled_line(draw, tokens):
+    """tokens joined by runs of spaces and tabs, with optional padding."""
+    seps = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for i, token in enumerate(tokens):
+        line += (draw(seps) if i else "") + token
+    return line + draw(st.sampled_from(["", " ", "\t"]))
+
+
+def spelled_lines(values):
+    """A line of the values' tokens, each value spelled by `spelled`."""
+    return st.tuples(*[spelled(v) for v in values]).flatmap(spelled_line)
+
+
+def reference_read(lines, name):
+    """read_bases as the text format states it, line by line through
+    as_basis: the bases, or the message of the BasisError it raises."""
+    bases = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            bases.append(as_basis(tokens))
+        except BasisError as exc:
+            return f"{name}: line {lineno}: {exc}"
+        except ValueError:
+            return f"{name}: line {lineno}: non-integer token in {line.strip()!r}"
+    return bases
 
 
 class TestAsBasis:
@@ -213,6 +267,19 @@ class TestClassify:
         cls = classify(basis)
         assert cls.symmetric == (mirror(basis, basis[-1]) == basis)
 
+    @given(st.one_of(bases, symmetric_bases(), st.integers(0, 120).map(lambda a: (0, a) if a else (0,))))
+    def test_equals_first_principles(self, basis):
+        # the set of pairwise sums, its first gap, and a_i + a_{k-i} == a_k
+        top = basis[-1]
+        sums = {a + b for a in basis for b in basis}
+        rng = next(t for t in range(2 * top + 2) if t not in sums) - 1
+        symmetric = all(basis[i] + basis[-1 - i] == top for i in range(len(basis)))
+        assert classify(basis) == BasisClass(rng >= top, rng >= 2 * top, symmetric, rng)
+
+    @given(symmetric_bases())
+    def test_symmetric_bases(self, basis):
+        assert classify(basis).symmetric
+
 
 class TestTextForm:
     def test_format(self):
@@ -280,6 +347,10 @@ class TestTextForm:
             ("0 1 -1", "bad.txt: line 4: elements must strictly increase, got 1 then -1"),
             ("0 1 4194305", "bad.txt: line 4: element 4194305 exceeds the supported maximum 4194304"),
             ("0 4194305 2", "bad.txt: line 4: elements must strictly increase, got 4194305 then 2"),
+            # the same value spelled two ways, and a bad token repeated
+            ("+0 01 1_0 12", (0, 1, 10, 12)),
+            ("0 01 1 2", "bad.txt: line 4: elements must strictly increase, got 1 then 1"),
+            ("0 1 2 x x", "bad.txt: line 4: non-integer token in '0 1 2 x x'"),
         ],
     )
     def test_read_bases_accepts_and_rejects(self, line, expected):
@@ -292,6 +363,43 @@ class TestTextForm:
             with pytest.raises(BasisError) as info:
                 read_bases(io.StringIO(text), "bad.txt")
             assert str(info.value) == expected
+
+    @given(st.lists(bases.flatmap(spelled_lines), max_size=8))
+    def test_read_bases_equals_as_basis_per_line(self, lines):
+        # repeated tokens, leading zeros, "+", "_", tabs and runs of spaces
+        expected = [as_basis(line.split()) for line in lines]
+        assert read_bases(lines) == ({}, expected)
+
+    def test_token_memo_is_bounded(self):
+        # a file that never repeats a token: the memo starts over when
+        # full, and every line still reads as as_basis reads it
+        lines = [f"0 {i} {i + 1}" for i in range(1, 2 * _Ints.LIMIT, 2)]
+        assert read_bases(lines)[1] == [as_basis(line.split()) for line in lines]
+        ints = _Ints()
+        assert all(ints[str(i)] == i for i in range(_Ints.LIMIT + 3))
+        assert len(ints) == 3
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(min_value=-2, max_value=12), max_size=6).flatmap(spelled_lines),
+                st.lists(
+                    st.sampled_from(["0", "1", "3", "x", "1.5", "1__0", "_1", str(MAX_ELEMENT + 1)]), max_size=4
+                ).map(" ".join),
+                st.sampled_from(["# k=3", "#", ""]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_read_bases_equals_reference(self, lines):
+        # the same bases, or for the first bad line the same message and line number
+        expected = reference_read(lines, "s.txt")
+        if isinstance(expected, str):
+            with pytest.raises(BasisError) as info:
+                read_bases(lines, "s.txt")
+            assert str(info.value) == expected
+        else:
+            assert read_bases(lines, "s.txt")[1] == expected
 
     @given(
         st.lists(

@@ -1,7 +1,7 @@
 """A run loads a module only when it first uses it: a search imports
 neither `multiprocessing` nor the oracle until it starts a pool or asks
-for the brute force, and the library never imports `json`, which only
-the command line uses."""
+for the brute force, the library never imports `json`, and the command
+line imports `json` and the oracle only in the branches that use them."""
 
 import os
 import subprocess
@@ -19,7 +19,7 @@ FRESH = textwrap.dedent(
     """
     import sys
 
-    import addbasis.core, addbasis.enumeration, addbasis.catalog, addbasis.mitm
+    import addbasis.core, addbasis.enumeration, addbasis.catalog, addbasis.mitm, addbasis.cli
 
     LAZY = ("multiprocessing", "json", "addbasis.oracle")
     print("loaded:", *[name for name in LAZY if name in sys.modules])

@@ -182,10 +182,13 @@ def scan(args):
 # io
 
 IO_LENGTH, IO_MIN_RANGE = 10, 30
-STEPS = ("store", "load", "classify", "verify")
+# the floors of the length-10 streams of `search -k 21 -n 144`, whose
+# least range is 30: a plain (10, 30) entry answers them once filtered
+IO_FLOORS = SearchTarget.create(21, 144).floors[:IO_LENGTH]
+STEPS = ("store", "load", "load_floored", "classify", "verify")
 
 
-def time_round(stream: list) -> dict[str, float]:
+def time_round(stream: list, floored: list) -> dict[str, float]:
     """CPU seconds of each step, checking that the stream survives the trip."""
     seconds = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,6 +202,10 @@ def time_round(stream: list) -> dict[str, float]:
         seconds["load"] = time.process_time() - start
 
         start = time.process_time()
+        filtered = cache.load(IO_LENGTH, IO_MIN_RANGE, IO_FLOORS)
+        seconds["load_floored"] = time.process_time() - start
+
+        start = time.process_time()
         classes = [classify(b) for b in loaded]
         seconds["classify"] = time.process_time() - start
 
@@ -209,6 +216,8 @@ def time_round(stream: list) -> dict[str, float]:
 
     if loaded != stream or not all(c.admissible and c.range >= IO_MIN_RANGE for c in classes):
         raise SystemExit("error: the loaded stream differs from the stored one, or misclassifies")
+    if filtered != floored:
+        raise SystemExit("error: the plain entry filtered by the floors differs from the floored stream")
     if code != 0:
         raise SystemExit(f"error: verify of the stored entry exited {code}")
     return seconds
@@ -218,26 +227,34 @@ def io(args):
     """Time cache I/O and classify on one stream.
 
     The stream is the (10, 30) admissible stream, 192,684 bases,
-    enumerated once before any timing.  Each round times four steps,
-    serially, in this order:
-        store     PrefixCache.store of the stream into a fresh directory;
-        load      PrefixCache.load of that entry (read_bases on every line);
-        classify  classify() of every loaded basis;
-        verify    `addbasis verify` of the stored entry, in this process
-                  (cli.main), with stdout sent to os.devnull.
+    enumerated once before any timing, together with the same stream
+    under the floors of `search -k 21 -n 144`'s length-10 streams.
+    Each round times five steps, serially, in this order:
+        store         PrefixCache.store of the stream into a fresh
+                      directory;
+        load          PrefixCache.load of that entry (read_bases on every
+                      line);
+        load_floored  PrefixCache.load with those floors, answered from
+                      the plain entry filtered by reaches_floors, as a
+                      floored search takes a plain `enumerate --out`
+                      entry; checked against the floored stream;
+        classify      classify() of every loaded basis;
+        verify        `addbasis verify` of the stored entry, in this
+                      process (cli.main), with stdout sent to os.devnull.
     Time is `time.process_time` (CPU seconds of this process), so the
     numbers do not count waiting for a shared machine.  The median over
-    rounds is reported per step, with bases per second.
+    rounds is reported per step, with bases per second of the stored
+    stream; the load_floored row also gives the floors and the bases
+    they keep.
     """
     stream = list(enumerate_admissible(EnumSpec(IO_LENGTH, IO_MIN_RANGE)))
-    rounds = [time_round(stream) for _ in range(args.rounds)]
+    floored = list(enumerate_admissible(EnumSpec(IO_LENGTH, IO_MIN_RANGE, floors=IO_FLOORS)))
+    rounds = [time_round(stream, floored) for _ in range(args.rounds)]
     for step in STEPS:
-        yield {
-            "step": step,
-            "stream": [IO_LENGTH, IO_MIN_RANGE],
-            "bases": len(stream),
-            **median_row([{"cpu_s": r[step]} for r in rounds], bases=len(stream)),
-        }
+        row = {"step": step, "stream": [IO_LENGTH, IO_MIN_RANGE], "bases": len(stream)}
+        if step == "load_floored":
+            row.update(floors=list(IO_FLOORS), kept=len(floored))
+        yield {**row, **median_row([{"cpu_s": r[step]} for r in rounds], bases=len(stream))}
 
 
 # pool
