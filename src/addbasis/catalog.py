@@ -7,9 +7,9 @@ whose range reaches twice the top element, known for k <= 41 (OEIS
 A006638); the two agree for every k <= 24 except k = 10, where 46 > 44.
 
 The packaged data files carry the complete published sets of extremal
-restricted bases for k = 1..41 (runs of equally spaced elements expanded
-by tools/transcribe_fixtures.py, which re-verifies every row), plus the
-two length-10 bases that attain the nonrestricted extremum.
+restricted bases for k = 1..41, with the runs of equally spaced elements
+of the published tables written out, plus the two length-10 bases that
+attain the nonrestricted extremum.
 
 Also here: a disk cache of enumerated prefix streams keyed by (length,
 min_range, floors, tool version).  The cache reads and writes its entries

@@ -461,12 +461,10 @@ def enumerate_admissible(
     basis of length spec.length - 1 only takes the exact last-element
     step.
     """
-    if extend is not None:
-        starts = (_stem(b, spec.length) for b in extend)
+    if extend is not None or workers is None or workers.processes <= 1 or spec.length <= 2:
+        # the serial walk is the walk below the root stem (0,)
+        starts = ((0,),) if extend is None else (_stem(b, spec.length) for b in extend)
         yield from _iter_admissible(spec.length, spec.min_range, starts, prune, spec.floors)
-        return
-    if workers is None or workers.processes <= 1 or spec.length <= 2:
-        yield from _iter_admissible(spec.length, spec.min_range, ((0,),), prune, spec.floors)
         return
     # deepen the stems below the root one level at a time until there are
     # enough jobs to keep the pool busy; stem counts grow ~5x per level.

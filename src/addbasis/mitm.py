@@ -73,7 +73,12 @@ the pairing upper bound (n2* is even):
     n2*(2r)   <= 4 n2(r-1) + 4
     n2*(2r+1) <= 2 n2(r-1) + 2 n2(r) + 4
 
-and the first level that holds a basis is extremal.
+and the first level that holds a basis is extremal.  The walk starts
+at the first level the catalog does not rule out.  A level is ruled out
+when one of its streams has a least range above n2 of its length, and
+the least ranges only rise with n, so the levels ruled out lie above
+all the others: n = 164 and 162 at k = 20, n = 260 and 258 at k = 26,
+and none at any other k up to 50 at the default pivot.
 
 The descent enumerates the streams once, not at every level.  The floors
 and both least ranges only rise with n, so a level's stream of a given
@@ -84,14 +89,14 @@ streams of its base level, and every level from the top of the round
 down to the base takes its streams by filtering them (each basis enters
 the walk as a full-length stem, which takes only the root check).  The
 first base is n2*(k) from the catalog, when it is on record, even and at
-most the top level, and else the top level; later bases step down by
-2, 4, 8, ...: n0, n0 - 2, n0 - 6, n0 - 14, ...  At k = 23 the descent
-walks the streams of n = 196 once and filters those of n = 204..198
-from them.  Every level is still scanned in turn from the top, so the
-report does not depend on the catalog value: one too high finds no
-basis down to it and steps on, and one too low costs only time, since
-the true level lies above it.  The catalog comparison of the `extremal`
-command stays an independent check.
+most the first feasible level, and else that level; later bases step
+down by 2, 4, 8, ...: n0, n0 - 2, n0 - 6, n0 - 14, ...  At k = 23 the
+descent walks the streams of n = 196 once and filters those of
+n = 204..198 from them.  Every level is still scanned in turn from the
+top, so the report does not depend on the catalog value: one too high
+finds no basis down to it and steps on, and one too low costs only
+time, since the true level lies above it.  The catalog comparison of
+the `extremal` command stays an independent check.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
-from .core import MAX_ELEMENT, Basis, BasisClass, classify, mirror, sumset_bits
+from .core import MAX_ELEMENT, Basis, mirror, sumset_bits
 from .enumeration import EnumSpec, Workers, enumerate_admissible
 
 Log = Callable[[str], None]
@@ -195,9 +200,6 @@ class SearchReport:
     @property
     def count(self) -> int:
         return len(self.bases)
-
-    def classifications(self) -> tuple[BasisClass, ...]:
-        return tuple(classify(b) for b in self.bases)
 
     def mirror_pairs(self) -> list[tuple[Basis, ...]]:
         """Group the bases into mirror orbits: (b,) when self-mirrored
@@ -430,63 +432,57 @@ def find_extremal_restricted(
     """Determine n2*(k) and all extremal restricted bases of length k.
 
     Walks even n downward from upper_bound_restricted(k); the first
-    non-empty level is extremal.  Levels whose stream constraints are
-    impossible by the catalog are skipped without enumeration.
+    non-empty level is extremal.  The walk starts at the first level
+    that `_certainly_empty` does not rule out: a stream's least range
+    only rises with n, so once it fits under n2 of the stream's length
+    it fits at every level below, and every level of every round is
+    feasible.
 
-    The streams are enumerated once per round of `_schedule`, at its
-    base level, and every higher level of the round filters them
-    (`_level_streams` with `lower`).  The first base is n2*(k) from
-    `table.restricted` when that is even and at most the top level,
-    else the top level.  A base that is too high only adds rounds, and
-    one that is too low only costs time, so the report does not depend
-    on the hint.  With processes > 1 the base streams enumerate in the
-    pool of one `Workers`; the filters run in this process.
+    Each round of `_schedule` makes the streams of its base level
+    before its first scan, and every higher level of the round filters
+    them (`_level_streams` with `lower`).  The first base is n2*(k)
+    from `table.restricted` when that is even and at most the first
+    feasible level, else that level.  A base that is too high only adds
+    rounds, and one that is too low only costs time, so the report does
+    not depend on the hint.  With processes > 1 the base streams
+    enumerate in the pool of one `Workers`; the filters run in this
+    process.
     """
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
     bound = upper_bound_restricted(k, table)
     top = bound - bound % 2
+    # the least ranges rise with n, so the levels the catalog rules out
+    # lie above every other level
+    while top >= 2 and _certainly_empty(SearchTarget.create(k, top, pivot, table), table):
+        if log:
+            log(f"k={k} n={top}: infeasible stream constraints, skipped")
+        top -= 2
     hint = table.restricted.get(k)
     hinted = hint is not None and hint % 2 == 0 and hint <= top
     first = hint if hinted else top
     with Workers(processes) as workers:
         for high, base in _schedule(top, first):
-            streams = None
-            scanned: list[int] = []
+            t0 = time.perf_counter()
+            streams = _level_streams(
+                SearchTarget.create(k, base, pivot, table), workers=workers, cache=cache, log=log
+            )
+            elapsed = time.perf_counter() - t0
             for n in range(high, base - 1, -2):
                 target = SearchTarget.create(k, n, pivot, table)
-                if _certainly_empty(target, table):
-                    if log:
-                        log(f"k={k} n={n}: infeasible stream constraints, skipped")
-                    continue
-                if streams is None:
-                    t0 = time.perf_counter()
-                    streams = _level_streams(
-                        SearchTarget.create(k, base, pivot, table),
-                        workers=workers,
-                        cache=cache,
-                        log=log,
-                    )
-                    elapsed = time.perf_counter() - t0
-                scanned.append(n)
                 report = search_restricted(
                     target, streams=streams if n == base else _level_streams(target, lower=streams), log=log
                 )
                 if report.bases:
                     break
-            else:
-                report = None
-            if log and streams is not None:
+            if log:
                 why = "catalog hint" if hinted and base == first else "doubling schedule"
-                above = [m for m in scanned if m != base]
-                if not above:
-                    levels = "no level"
-                elif len(above) == 1:
-                    levels = f"n={above[0]}"
-                else:
-                    levels = f"n={above[0]}..{above[-1]}"
+                above = range(high, max(n, base + 2) - 1, -2)
+                levels = f"n={above[0]}" if above else "no level"
+                if len(above) > 1:
+                    levels += f"..{above[-1]}"
                 log(f"k={k}: streams enumerated at n={base} ({why}, {elapsed:.2f}s); "
                     f"{levels} filtered from them")
-            if report is not None:
+            if report.bases:
                 return report
     raise RuntimeError(f"no restricted basis of length {k} found above range 2")

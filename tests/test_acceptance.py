@@ -102,8 +102,7 @@ def test_criterion_4_length_30(restricted_fixtures):
     assert report.n == 316
     assert set(report.bases) == {f.basis for f in restricted_fixtures[30]}
     assert report.count == 6
-    classes = report.classifications()
-    assert sum(1 for c in classes if c.symmetric) == 4
+    assert sum(1 for b in report.bases if classify(b).symmetric) == 4
     groups = report.mirror_pairs()
     assert sum(1 for g in groups if len(g) == 1) == 4
     assert sum(1 for g in groups if len(g) == 2) == 1

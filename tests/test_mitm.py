@@ -262,7 +262,7 @@ class TestSearch:
 
     def test_found_bases_are_restricted(self):
         report = search_restricted(SearchTarget.create(9, 40))
-        for cls in report.classifications():
+        for cls in map(classify, report.bases):
             assert cls.restricted
             assert cls.range == 40
 
@@ -557,6 +557,36 @@ class TestFindExtremal:
         assert _certainly_empty(SearchTarget.create(9, 80, 1), DEFAULT)
         assert not _certainly_empty(SearchTarget.create(9, 40, 1), DEFAULT)
 
+    @pytest.mark.parametrize("k,checked,n2,filtered", [
+        (20, [164, 162, 160], 152, "160..154"),
+        (26, [260, 258, 256], 244, "256..246"),
+    ], ids=["k20", "k26"])
+    def test_descent_starts_at_the_first_feasible_level(self, k, checked, n2, filtered, monkeypatch):
+        # the only lengths up to 50 whose top levels the catalog rules out:
+        # they are tested once, before any level is scanned
+        events = []
+        certainly_empty, search = mitm._certainly_empty, mitm.search_restricted
+
+        def empty_spy(target, table):
+            events.append(target.n)
+            return certainly_empty(target, table)
+
+        def search_spy(target, **kwargs):
+            events.append("scan")
+            return search(target, **kwargs)
+
+        monkeypatch.setattr(mitm, "_certainly_empty", empty_spy)
+        monkeypatch.setattr(mitm, "search_restricted", search_spy)
+        messages = []
+        report = find_extremal_restricted(k, log=messages.append)
+        assert report.n == n2
+        assert events == checked + ["scan"] * ((checked[-1] - n2) // 2 + 1)
+        assert messages[:2] == [f"k={k} n={n}: infeasible stream constraints, skipped" for n in checked[:2]]
+        rounds = [m for m in messages if "streams enumerated" in m]
+        assert len(rounds) == 1
+        assert rounds[0].startswith(f"k={k}: streams enumerated at n={n2} (catalog hint, ")
+        assert rounds[0].endswith(f"; n={filtered} filtered from them")
+
 
 def stepwise_descent(k, pivot=None, table=DEFAULT):
     """The descent with each level's streams enumerated directly, top
@@ -625,7 +655,7 @@ class TestFilteredDescent:
         levels = (upper_bound_restricted(k) - report.n) // 2 + 1
         assert len(calls) == levels * (1 if k % 2 else 2)
 
-    @pytest.mark.parametrize("k", range(3, 25))
+    @pytest.mark.parametrize("k", [*range(3, 25), 26])
     def test_equals_the_stepwise_descent(self, k):
         pivots = range(1, k - 1) if k <= 13 else [None]
         for pivot in pivots:
