@@ -133,13 +133,12 @@ def cmd_enumerate(args, out: IO[str]) -> int:
     header = {"k": spec.length, "min_range": spec.min_range, "version": __version__}
     with Workers(args.threads) as workers:
         bases = _heartbeat(enumerate_admissible(spec, workers=workers))
-        if args.format == "text":
-            write_bases(out, header, bases)
-            return 0
-        # `count` comes before `bases`, so the stream is held, but not a
-        # second copy of it as lists or as one document string
-        bases = list(bases)
-    _write_document(out, "json", {**header, "count": len(bases)}, bases)
+        if args.format == "json":
+            # `count` comes before `bases`, so the stream is held, but not a
+            # second copy of it as lists or as one document string
+            bases = list(bases)
+            header["count"] = len(bases)
+        _write_document(out, args.format, header, bases)
     return 0
 
 

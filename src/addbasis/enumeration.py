@@ -106,17 +106,19 @@ is closed when the `with` block ends, also on an exception.  The
 run never needs it, and its import costs a fresh process about 10 ms,
 nearly the 13 ms search of the serial k = 22 descent.
 
-A parallel stream is split into stems one level at a time.  The stems
-of depth d are the admissible partial bases of d + 1 elements that reach
-the stream's first d floors: the stream of length d with those floors,
-and with min_range the largest of them, which each such stem reaches.
-So each depth extends the one before in one multi-stem walk, and a stem
-that misses a floor is dropped before it is shipped.  Each job ships a
-stem to a worker and its bases back, which costs the parent up to about
-a millisecond of CPU, while the largest job left at the end decides how
-evenly the workers finish.  Stems with at most `SHALLOW_LEVELS` levels
-below them make small jobs, so `SHALLOW_STEMS_PER_WORKER` of them per
-worker balance; deeper stems need `STEMS_PER_WORKER`.
+`_split` cuts a parallel stream into stems one level at a time.  The
+stems of depth d are the admissible partial bases of d + 1 elements
+that reach the stream's first d floors: the stream of length d with
+those floors, and with min_range the largest of them, which each such
+stem reaches.  So each depth extends the one before in one multi-stem
+walk, and a stem that misses a floor is dropped before it is shipped.
+Each job ships a stem to a worker and its bases back, which costs the
+parent up to about a millisecond of CPU, while the largest job left at
+the end decides how evenly the workers finish.  Stems with at most
+`SHALLOW_LEVELS` levels below them make small jobs, so
+`SHALLOW_STEMS_PER_WORKER` of them per worker balance; deeper stems
+need `STEMS_PER_WORKER`.  The plan is a list that `enumerate_admissible`
+maps over the pool, so it can be read without starting one.
 """
 
 from __future__ import annotations
@@ -428,6 +430,27 @@ def _stem(elements: Sequence[int], depth: int) -> Basis:
     return stem
 
 
+def _split(spec: EnumSpec, processes: int, prune: bool) -> list[Basis]:
+    """The stems that a stream of `spec.length` >= 3 is split into for
+    `processes` workers, in lexicographic order: those of the least depth
+    d that gives enough jobs, the stream of length d with the spec's
+    first d floors."""
+    # deepen the stems below the root one level at a time until there are
+    # enough jobs to keep the pool busy; stem counts grow ~5x per level.
+    # The stems of depth d, the stream of length d with the first d
+    # floors, are extended from those of depth d - 1
+    floors = spec.floors
+    depth, parts = 1, [(0,)]
+    while depth < spec.length - 1:
+        shallow = spec.length - depth <= SHALLOW_LEVELS
+        per_worker = SHALLOW_STEMS_PER_WORKER if shallow else STEMS_PER_WORKER
+        if len(parts) >= per_worker * processes:
+            break
+        depth += 1
+        parts = list(_iter_admissible(depth, max(floors[:depth], default=0), parts, prune, floors[:depth]))
+    return parts
+
+
 def enumerate_admissible(
     spec: EnumSpec,
     *,
@@ -447,11 +470,10 @@ def enumerate_admissible(
     - the exact last-element step.
 
     The floors of the spec stay, as they define the stream.  With
-    `workers` of more than one process, the stream is split at its stems
-    of the least depth d that gives enough jobs, the stream of length d
-    with the spec's first d floors; the stems are walked in its pool and
-    their results merge back in order.  Without, the stream is
-    enumerated in this process.
+    `workers` of more than one process, the stream is split at the stems
+    that `_split` picks, those of the least depth d that gives enough
+    jobs; the stems are walked in its pool and their results merge back
+    in order.  Without, the stream is enumerated in this process.
 
     `extend`, partial bases of at most spec.length + 1 elements, is the
     way to walk below given stems: the result is then the extensions of
@@ -466,19 +488,6 @@ def enumerate_admissible(
         starts = ((0,),) if extend is None else (_stem(b, spec.length) for b in extend)
         yield from _iter_admissible(spec.length, spec.min_range, starts, prune, spec.floors)
         return
-    # deepen the stems below the root one level at a time until there are
-    # enough jobs to keep the pool busy; stem counts grow ~5x per level.
-    # The stems of depth d, the stream of length d with the first d
-    # floors, are extended from those of depth d - 1
-    floors = spec.floors
-    depth, parts = 1, [(0,)]
-    while depth < spec.length - 1:
-        shallow = spec.length - depth <= SHALLOW_LEVELS
-        per_worker = SHALLOW_STEMS_PER_WORKER if shallow else STEMS_PER_WORKER
-        if len(parts) >= per_worker * workers.processes:
-            break
-        depth += 1
-        parts = list(_iter_admissible(depth, max(floors[:depth], default=0), parts, prune, floors[:depth]))
-    jobs = [(spec.length, spec.min_range, (part,), prune, floors) for part in parts]
+    jobs = [(spec.length, spec.min_range, (stem,), prune, spec.floors) for stem in _split(spec, workers.processes, prune)]
     for chunk in workers.imap(_collect, jobs):
         yield from chunk

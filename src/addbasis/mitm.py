@@ -450,8 +450,8 @@ def find_extremal_restricted(
     """
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
-    bound = upper_bound_restricted(k, table)
-    top = bound - bound % 2
+    # even, as each of its terms is
+    top = upper_bound_restricted(k, table)
     # the least ranges rise with n, so the levels the catalog rules out
     # lie above every other level
     while top >= 2 and _certainly_empty(SearchTarget.create(k, top, pivot, table), table):

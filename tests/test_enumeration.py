@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from addbasis.catalog import DEFAULT
 from addbasis.core import MAX_ELEMENT, atomic_write, basis_range, read_bases, sumset_bits, write_bases
-from addbasis.enumeration import EnumSpec, Workers, _floor_step, enumerate_admissible
+from addbasis.enumeration import EnumSpec, Workers, _floor_step, _split, enumerate_admissible
 from addbasis.mitm import SearchTarget, upper_bound_restricted
 from addbasis.oracle import all_admissible
 
@@ -24,6 +24,14 @@ ADMISSIBLE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 17, 5: 65, 6: 292, 7: 1434, 8: 7875}
 @cache
 def oracle_stream(length):
     return tuple(all_admissible(length))
+
+
+def walked_stream(k):
+    """The stream that the k descent walks at n2*(k): its shorter stream,
+    with the floors of that level."""
+    target = SearchTarget.create(k, DEFAULT.known_restricted_range(k))
+    length = min(target.pivot, target.suffix_length)
+    return EnumSpec(length, target.floors[length - 1], floors=target.floors[:length])
 
 
 @st.composite
@@ -505,20 +513,19 @@ class TestWorkers:
             )
         assert started_pools == []
 
-    @pytest.mark.parametrize("length,min_range,jobs", [(10, 42, 17), (11, 50, 17), (12, 56, 65), (13, 60, 65)])
-    def test_split_by_levels_below_the_stems(self, length, min_range, jobs):
+    @pytest.mark.parametrize(
+        "spec,jobs",
+        [pytest.param(EnumSpec(n, r), j, id=f"{n}-{r}-{j}") for n, r, j in
+         [(10, 42, 17), (11, 50, 17), (12, 56, 65), (13, 60, 65)]]
+        + [pytest.param(walked_stream(k), j, id=f"k{k}-{j}") for k, j in [(24, 17), (25, 65), (41, 65)]],
+    )
+    def test_split_by_levels_below_the_stems(self, spec, jobs):
         # 2 workers: the length-10 and 11 streams stop at 17 stems, 7 or
-        # fewer levels above their leaves; longer ones go on to 65
-        sent = []
-
-        def counting_imap(func, items):
-            sent.extend(items)
-            return iter(())
-
-        with Workers(2) as workers:
-            workers.imap = counting_imap
-            assert list(enumerate_admissible(EnumSpec(length, min_range), workers=workers)) == []
-        assert len(sent) == jobs
+        # fewer levels above their leaves; longer ones go on to 65.  The
+        # streams that the k = 24, 25 and 41 descents walk, of length 11,
+        # 12 and 20, split into every admissible stem of their depth, as no
+        # floor drops one
+        assert len(_split(spec, 2, True)) == jobs
 
     def test_split_drops_stems_below_a_floor(self):
         # the shorter stream of SearchTarget.create(12, 64): of the 17
@@ -535,6 +542,7 @@ class TestWorkers:
 
             workers.imap = counting_imap
             parallel = list(enumerate_admissible(spec, workers=workers))
+        assert [job[2] for job in sent] == [(stem,) for stem in _split(spec, 2, True)]
         assert len(sent) == 8
         assert parallel == list(enumerate_admissible(spec))
 

@@ -212,6 +212,11 @@ class TestUpperBound:
         for k in range(3, 42):
             assert upper_bound_restricted(k) >= DEFAULT.known_restricted_range(k)
 
+    def test_is_even(self):
+        # the descent walks the even levels down from the bound itself
+        for k in range(3, 51):
+            assert upper_bound_restricted(k) % 2 == 0
+
 
 class TestAssemble:
     """Gluing one prefix to one mirrored suffix, through search_restricted

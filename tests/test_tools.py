@@ -40,7 +40,7 @@ def rows(*argv):
         ["pool"],
         # also checks that the stream survives store, load and verify
         ["io"],
-        # swaps Workers.imap and overrides enumeration.SHALLOW_LEVELS
+        # overrides enumeration.SHALLOW_LEVELS and reads enumeration._split
         ["split", "--stream", "8,20"],
     ],
     ids=lambda argv: argv[0],

@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import inspect
 import json
-import multiprocessing
 import os
 import resource
 import statistics
@@ -271,26 +270,14 @@ def cpu(who: int) -> float:
 
 
 def time_descent(k: int, processes: int) -> dict[str, float]:
-    """Wall, own CPU and children's CPU seconds of one descent, and the
-    pools it started."""
-    started = []
-    real = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        started.append(1)
-        return real(*args, **kwargs)
-
-    multiprocessing.Pool = counting_pool
-    try:
-        self0, children0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN)
-        t0 = time.perf_counter()
-        find_extremal_restricted(k, processes=processes)
-        wall = time.perf_counter() - t0
-        self_s = cpu(resource.RUSAGE_SELF) - self0
-        children_s = cpu(resource.RUSAGE_CHILDREN) - children0
-    finally:
-        multiprocessing.Pool = real
-    return {"wall_s": wall, "self_cpu_s": self_s, "child_cpu_s": children_s, "pools": len(started)}
+    """Wall, own CPU and children's CPU seconds of one descent."""
+    self0, children0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    find_extremal_restricted(k, processes=processes)
+    wall = time.perf_counter() - t0
+    self_s = cpu(resource.RUSAGE_SELF) - self0
+    children_s = cpu(resource.RUSAGE_CHILDREN) - children0
+    return {"wall_s": wall, "self_cpu_s": self_s, "child_cpu_s": children_s}
 
 
 def pool(args):
@@ -300,11 +287,10 @@ def pool(args):
     K = 20, 21, 22, 26, 28 and N = 1, 2, serial-first within a round.
     For each run it reports the wall seconds (`time.perf_counter`), this
     process's own CPU seconds and the CPU seconds of the pool workers it
-    reaped (`resource.getrusage`, RUSAGE_SELF and RUSAGE_CHILDREN), and
-    the number of pools started, counted by a wrapper on
-    `multiprocessing.Pool`.  The median over rounds is reported per
-    (K, N).  Parallel scaling beyond the cores of the machine it runs on
-    is not measured.
+    reaped (`resource.getrusage`, RUSAGE_SELF and RUSAGE_CHILDREN).  A
+    parallel descent starts one pool and a serial one none.  The median
+    over rounds is reported per (K, N).  Parallel scaling beyond the
+    cores of the machine it runs on is not measured.
     """
     cases = [(k, n) for k in POOL_LENGTHS for n in POOL_PROCESSES]
     runs: dict[tuple[int, int], list[dict[str, float]]] = {case: [] for case in cases}
@@ -331,23 +317,12 @@ def stream_spec(text: str) -> EnumSpec:
 SPLIT_STREAMS = (EnumSpec(10, 42), EnumSpec(11, 50), EnumSpec(12, 56))
 
 
-def jobs_sent(spec: EnumSpec, workers: Workers, shallow_levels: int | None = None) -> int:
-    """The jobs `enumerate_admissible` sends for spec, with SHALLOW_LEVELS
-    set to shallow_levels (None: as shipped); nothing is enumerated."""
-    sent = []
-
-    def counting_imap(func, items):
-        sent.extend(items)
-        return iter(())
-
-    workers.imap = counting_imap
-    try:
-        with forced(shallow_levels):
-            for _ in enumerate_admissible(spec, workers=workers):
-                pass
-    finally:
-        del workers.imap
-    return len(sent)
+def jobs_sent(spec: EnumSpec, shallow_levels: int | None = None) -> int:
+    """The jobs `enumerate_admissible` sends for spec to 2 workers, its
+    stems from `enumeration._split`, with SHALLOW_LEVELS set to
+    shallow_levels (None: as shipped)."""
+    with forced(shallow_levels):
+        return len(enumeration._split(spec, SPLIT_PROCESSES, True))
 
 
 @contextlib.contextmanager
@@ -379,19 +354,20 @@ def split(args):
     `STEMS_PER_WORKER` (32) otherwise.  This times streams on both sides
     of that choice under each split, in one pool started before the clock
     runs, alternating which split goes first per round.  For each
-    (stream, split) it reports the jobs sent, the median wall seconds and
-    the median CPU seconds of this process (the parent, which ships the
-    jobs and merges the results), and whether the rule picks that split.
+    (stream, split) it reports the jobs sent (the stems that
+    `enumeration._split` plans), the median wall seconds and the median
+    CPU seconds of this process (the parent, which ships the jobs and
+    merges the results), and whether the rule picks that split.
 
     The default streams are (10, 42), (11, 50) and (12, 56); pass others
     with --stream.  Only 2 workers are timed.
     """
     specs = args.stream or SPLIT_STREAMS
     runs: dict[tuple[EnumSpec, int], list[dict[str, float]]] = {}
+    jobs = {(spec, n): jobs_sent(spec, FORCE[n]) for spec in specs for n in FORCE}
+    shipped = {spec: jobs_sent(spec) for spec in specs}
     with Workers(SPLIT_PROCESSES) as workers:
         list(workers.imap(abs, range(SPLIT_PROCESSES)))  # start the pool off the clock
-        jobs = {(spec, n): jobs_sent(spec, workers, FORCE[n]) for spec in specs for n in FORCE}
-        shipped = {spec: jobs_sent(spec, workers) for spec in specs}
         for r in range(args.rounds):
             for spec in specs:
                 for per_worker in (8, 32) if r % 2 == 0 else (32, 8):
