@@ -177,13 +177,21 @@ class PrefixCache:
         self, length: int, min_range: int, bases: Iterable[Sequence[int]], floors: Sequence[int] = ()
     ) -> Path:
         path = self.path_for(length, min_range, floors)
-        header = {"k": length, "min_range": min_range}
-        if floors:
-            header["floors"] = _floors_text(floors)
-        header["version"] = __version__
         with atomic_write(path) as f:
-            write_bases(f, header, bases)
+            write_bases(f, stream_header(length, min_range, floors), bases)
         return path
+
+
+def stream_header(length: int, min_range: int, floors: Sequence[int] = ()) -> dict[str, object]:
+    """The `# key=value` header of a stream file, which `enumerate` and
+    `PrefixCache.store` both write: so an `enumerate --out` file under
+    the name that `path_for` gives its (length, min_range) is a plain
+    cache entry."""
+    header: dict[str, object] = {"k": length, "min_range": min_range}
+    if floors:
+        header["floors"] = _floors_text(floors)
+    header["version"] = __version__
+    return header
 
 
 def _floors_text(floors: Sequence[int]) -> str:

@@ -23,7 +23,7 @@ from contextlib import nullcontext
 from typing import IO, Sequence
 
 from . import __version__
-from .catalog import DEFAULT, CatalogMissingError, PrefixCache
+from .catalog import DEFAULT, CatalogMissingError, PrefixCache, stream_header
 from .core import _template, atomic_write, classify, read_bases, write_bases
 from .enumeration import EnumSpec, Workers, enumerate_admissible
 from .mitm import SearchReport, SearchTarget, find_extremal_restricted, search_restricted
@@ -130,7 +130,7 @@ def cmd_extremal(args, out: IO[str]) -> int:
 
 def cmd_enumerate(args, out: IO[str]) -> int:
     spec = EnumSpec(args.k, args.min_range)
-    header = {"k": spec.length, "min_range": spec.min_range, "version": __version__}
+    header = stream_header(spec.length, spec.min_range)
     with Workers(args.threads) as workers:
         bases = _heartbeat(enumerate_admissible(spec, workers=workers))
         if args.format == "json":

@@ -201,10 +201,10 @@ def _iter_admissible(
     >= floors[d - 1], stem after stem and in lexicographic order below
     each.
 
-    The tables that depend only on the stream (tmask, spare, floor,
-    floor_mask and the starts of the run bound and the in-range cap) are
-    built once for all the stems.  A node is (elements, mask, coverage,
-    rev, lo, hi): its children are the next elements in [lo, hi], and rev
+    The tables that depend only on the stream (tmask, spare, floor_mask
+    and the starts of the run bound and the in-range cap) are built once
+    for all the stems.  A node is (elements, mask, coverage, rev, lo,
+    hi): its children are the next elements in [lo, hi], and rev
     has bit (lo - 1) - a set for each element a, so a child a gets
     `(rev << (a - lo + 1)) | 1`.  Each stem's root is the stem's parent,
     with hi capped at its first gap, so an inadmissible stem has no
@@ -215,18 +215,18 @@ def _iter_admissible(
 
     The floors are tested only at a node with holes in [0, floor of its
     children's depth] (`below`), since a child covers all that its parent
-    covers.  There a child that leaves a hole of `below` open, so that
-    its first gap is at most the floor, is dropped, and so is an x two
-    short; every floor is at most min_range, so that hole is in [0, T].
+    covers.  There the one floor test, `below & ~c`, drops a child or an
+    x two short with coverage c that leaves a hole of `below` open, so
+    that its first gap is at most the floor; every floor is at most
+    min_range, so that hole is in [0, T].
     The root drops a stem that has a prefix below its floor, so any set
     of stems gives exactly the serial stream below them.
 
     A node's children are pushed straight onto the stack, largest first,
     so the smallest is popped first.  Where the floor step runs, they are
-    the bits of its mask, read from the top bit down, and each gets the
-    floor test before the counting cut and its first gap after both;
-    elsewhere they are [lo, hi], from hi down, with the counting cut
-    first.
+    the bits of its mask, read from the top bit down; elsewhere they are
+    [lo, hi], from hi down.  Each gets the floor test before the counting
+    cut and its first gap after both.
 
     The children x of a node two short are tried in place, with
     T = min_range, `holes = tmask & ~c1`, the holes in [0, T] that x
@@ -269,12 +269,10 @@ def _iter_admissible(
     # lo, and the in-range cap holds from this x on
     run_below = (min_range - 2) // 2 if prune else -1
     cap_from = (min_range + 1) // 2 if prune else float("inf")
-    # floor[d] = the least range of the prefix of depth d
-    floor = [0, *floors] if floors else [0] * kp1
-    # floor_mask[d] = [0, floor[d]], or 0 where the floor is 0.  floor[0]
-    # is 0, so the empty prefix, whose hole 0 is 2 * 0, never takes the
-    # floor step
-    floor_mask = [(2 << f) - 1 if f else 0 for f in floor]
+    # floor_mask[d] = [0, least range of the prefix of depth d], or 0
+    # where that is 0.  Depth 0 has none, so the empty prefix, whose hole
+    # 0 is 2 * 0, never takes the floor step
+    floor_mask = [0, *((2 << f) - 1 if f else 0 for f in floors or (0,) * length)]
 
     two_short = kp1 - 2
     for stem in starts:
@@ -316,15 +314,12 @@ def _iter_admissible(
                         gap = ((~c2) & (c2 + 1)).bit_length() - 1
                         nodes.append((prefix + (a,), m2, c2, (rev << (i + 1)) | 1, a + 1, gap))
                     continue
-                least = floor[depth]
                 for a in range(hi, lo - 1, -1):
                     m2 = mask | (1 << a)
                     c2 = cov | (m2 << a)
-                    if (tmask & ~c2).bit_count() > spare_child:
+                    if below and below & ~c2 or (tmask & ~c2).bit_count() > spare_child:
                         continue
                     gap = ((~c2) & (c2 + 1)).bit_length() - 1
-                    if below and gap <= least:
-                        continue
                     nodes.append((prefix + (a,), m2, c2, (rev << (a - lo + 1)) | 1, a + 1, gap))
                 continue
             if lo < run_below:

@@ -1,52 +1,46 @@
 """Meet-in-the-middle search for restricted bases of a given range.
 
 A restricted basis of range n has top element exactly n/2, and both of
-its halves are forced to carry ranges of their own: if the suffix part
-{a_{i+1}, ..., a_k} is to help cover the top of [0, n], the prefix
-A_i = {a_0, ..., a_i} must already cover [0, a_k - n2(j-1) - 2] by
-itself (j = k - 1 - i), and symmetrically the mirror image of the suffix
-about a_k, which is again a basis starting at 0, must have range at
-least a_k - n2(i-1) - 2.  So instead of one depth-k search, enumerate
-two much shallower streams:
-
-    prefixes  P: admissible, length i, range >= n/2 - n2(j-1) - 2
-    suffixes  B: admissible, length j, range >= n/2 - n2(i-1) - 2
-
-and glue every compatible pair P, R = (n/2) - B back together.  Coverage
-of the glued candidate is verified outright, so the bound quality only
-affects speed, never correctness.  Mirroring the basis about a_k swaps
-the roles of the two streams, which is why the mirror of a restricted
-basis is again restricted and asymmetric solutions arrive in pairs.
-
-The split bound holds at every split point, not only at the pivot: for
-each depth d = 1..k-2, the prefix A_d = {a_0, ..., a_d} must have range
-at least
+its halves are forced to carry ranges of their own.  Split it after a_d:
+if the suffix part {a_{d+1}, ..., a_k} is to help cover the top of
+[0, n], the prefix A_d = {a_0, ..., a_d} must already cover [0, floor[d]]
+by itself, where
 
     floor[d] = n/2 - n2(k-2-d) - 2      (taken as 0 when negative, or
                                          when n2(k-2-d) is not on record)
 
-and, by the mirror symmetry, so must the depth-d prefix of the mirrored
-suffix.  So both streams carry one floor per depth (SearchTarget.floors),
-the prefix stream floor[1..i] and the suffix stream floor[1..j], and the
-enumeration drops a partial basis as soon as it falls below the floor of
-its depth, rather than only at a stream's last element.  This is
-J. Kohonen's early pruning for the restricted postage stamp problem.
+for each depth d = 1..k-2, and symmetrically so must the depth-d prefix
+of the mirror image of the suffix about a_k, which is again a basis
+starting at 0.  This is the one rule of the search: SearchTarget.floors
+holds floor[d] at index d - 1, and the stream of length L,
+SearchTarget.stream(L), holds the admissible bases of length L whose prefix
+of each depth d reaches floor[d], so its least range is floor[L].  So
+instead of one depth-k search, split at the pivot i (j = k - 1 - i) and
+enumerate two much shallower streams:
+
+    prefixes  P: the stream of length i
+    suffixes  B: the stream of length j
+
+and glue every compatible pair P, R = (n/2) - B back together.  An even
+split (i = j) has one stream for both halves.  Coverage of the glued
+candidate is verified outright, so the bound quality only affects speed,
+never correctness.  Mirroring the basis about a_k swaps the roles of the
+two streams, which is why the mirror of a restricted basis is again
+restricted and asymmetric solutions arrive in pairs.
+
+The enumeration drops a partial basis as soon as it falls below the
+floor of its depth, rather than only at a stream's last element.  This
+is J. Kohonen's early pruning for the restricted postage stamp problem.
 At n = 196 the k = 23 prefix stream (11, 50) keeps 14 of the 213 bases
 of range >= 50.
 
-At d = i the floor is the prefix stream's own bound, n/2 - n2(j-1) - 2,
-and at d = j the suffix stream's, so every stream of a level is one
-statement: the stream of length L is EnumSpec(L, floors[L - 1],
-floors=floors[:L]).  The prefix stream has L = i and the suffix stream
-L = j; an even split (i = j) has one stream for both halves.
-
 The longer stream of a level extends the shorter one when they are one
 element apart, as at the default pivot for even k.  Say the shorter
-stream has length L.  Its min_range is floors[L - 1], the longer
-stream's floor at depth L, and both share floors[:L], so the first
-L + 1 elements of every basis of the longer stream are a basis of the
-shorter one, and the longer stream is the shorter one with each basis
-extended by one element, in the same order.  So the search makes the
+stream has length L.  Its least range is floor[L], the longer stream's
+floor at depth L, and both share floor[1..L], so the first L + 1
+elements of every basis of the longer stream are a basis of the shorter
+one, and the longer stream is the shorter one with each basis extended
+by one element, in the same order.  So the search makes the
 shorter stream first and hands its bases to the enumeration as stems one
 element short of a leaf, where only the exact last-element step runs;
 the walk down to depth L is not repeated.  Streams that differ by more,
@@ -58,8 +52,8 @@ given or makes both, so only a stream made with the floors is extended
 from.
 
 The pair scan picks a prefix's suffixes by the prefix's first gap.  A
-suffix R can follow P only if min R > max P.  Let g <= n be the first
-gap of P + P.  Then g is not a sum of two elements of P (by definition)
+suffix R can follow P only if min R > max P.  Let g be the first gap
+of P + P.  Then g is not a sum of two elements of P (by definition)
 and not a sum of two elements of R (2 min R >= 2 max P + 2 > g, as no
 sum of P exceeds 2 max P).  So a gluing that covers g has g = a + b with
 a in P and b in R: R must meet g - P.  An index from each value to the
@@ -103,7 +97,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import DEFAULT, CatalogTable, PrefixCache
@@ -117,17 +111,21 @@ Log = Callable[[str], None]
 class SearchTarget:
     """One meet-in-the-middle instance: length k, even range n, pivot i.
 
-    floors[d - 1] is the forced range of a prefix of depth d (clamped at
-    0), for d = 1..max(i, j), j = k - 1 - i being suffix_length.  The
-    stream of length L is EnumSpec(L, floors[L - 1], floors=floors[:L]):
-    the prefix stream has L = i and the suffix stream L = j, so their
-    least ranges are floors[i - 1] and floors[j - 1].
+    floors[d - 1] is the forced range of a prefix of depth d, floor[d] of
+    the module docstring, for d = 1..max(i, j), j = k - 1 - i being
+    suffix_length.  The prefix stream is stream(i) and the suffix stream
+    stream(j).
     """
 
     k: int
     n: int
     pivot: int
     floors: tuple[int, ...]
+
+    def stream(self, length: int) -> EnumSpec:
+        """The stream of `length`: its prefix of each depth d reaches
+        floors[d - 1], and so its least range is floors[length - 1]."""
+        return EnumSpec(length, self.floors[length - 1], floors=self.floors[:length])
 
     @property
     def suffix_length(self) -> int:
@@ -183,19 +181,12 @@ class SearchTarget:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one search level: the instance and every basis found.
-
-    prefix_count / suffix_count / elapsed are runtime metadata; the
-    report the CLI writes leaves them out.
-    """
+    """Outcome of one search level: the instance and every basis found."""
 
     k: int
     n: int
     pivot: int
     bases: tuple[Basis, ...]
-    prefix_count: int | None = field(default=None, compare=False)
-    suffix_count: int | None = field(default=None, compare=False)
-    elapsed: float | None = field(default=None, compare=False)
 
     @property
     def count(self) -> int:
@@ -256,18 +247,18 @@ def _scan_pairs(args) -> list[Basis]:
 
     Only the front run of suffix records (minimum above the prefix's
     last element) can follow a prefix p.  Let g be the first gap of
-    p + p.  If g <= n, a suffix r completes p only if it contains g - a
-    for some a in p: g is not a sum within p by definition, nor within
-    r, since 2 r[0] >= 2 p[-1] + 2 > g.  So a prefix's candidates are
-    the OR of the index masks over g - p, ANDed with the front run; a
-    prefix with g > n keeps the whole front run.  Every candidate is
-    checked in full: cross sums are built by shifting the suffix's
-    element mask by each prefix element, and the union of the three
-    coverage vectors must equal [0, n].  The filter drops only suffixes
-    that leave g uncovered, so the result is that of checking every
-    pair of the front run."""
+    p + p.  A suffix r completes p only if it contains g - a for some a
+    in p: g is not a sum within p by definition, nor within r, since
+    2 r[0] >= 2 p[-1] + 2 > g.  So a prefix's candidates are the OR of
+    the index masks over g - p, ANDed with the front run.  A prefix with
+    g > n glues to nothing: p + p covers n, so 2 p[-1] >= n, and no
+    suffix minimum exceeds n/2, so its front run is empty.  Every
+    candidate is checked in full: cross sums are built by shifting the
+    suffix's element mask by each prefix element, and the union of the
+    three coverage vectors must equal [0, n].  The filter drops only
+    suffixes that leave g uncovered, so the result is that of checking
+    every pair of the front run."""
     prefix_records, suffix_records, full = args
-    n = full.bit_length() - 1
     # value -> bitmask of the suffix records (by position) containing it
     index: dict[int, int] = {}
     for i, rec in enumerate(suffix_records):
@@ -280,13 +271,10 @@ def _scan_pairs(args) -> list[Basis]:
     for last, p, covp in prefix_records:
         front = (1 << bisect_left(neg_minr, -last)) - 1
         g = ((covp + 1) & ~covp).bit_length() - 1
-        if g > n:
-            candidates = front
-        else:
-            candidates = 0
-            for a in p:
-                candidates |= index.get(g - a, 0)
-            candidates &= front
+        candidates = 0
+        for a in p:
+            candidates |= index.get(g - a, 0)
+        candidates &= front
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -311,9 +299,8 @@ def _level_streams(
     with one `enumerate_admissible` call per length.  An even split
     (i == j) has one length, so its two streams are one list.
 
-    Each length L is made shortest first, as the stream
-    EnumSpec(L, floors[L - 1], floors=floors[:L]), from the first source
-    that applies:
+    Each length L is made shortest first, as `target.stream(L)`, from
+    the first source that applies:
 
     1. `lower`, the (prefixes, suffixes) of a lower level of the same k
        and pivot: the floors only rise with n, so its stream of length L
@@ -331,19 +318,18 @@ def _level_streams(
     i, j = target.pivot, target.suffix_length
     made: dict[int, Sequence[Basis]] = {}
     for length in sorted({i, j}):
-        min_range, floors = target.floors[length - 1], target.floors[:length]
-        spec = EnumSpec(length, min_range, floors=floors)
+        spec = target.stream(length)
         if lower is not None:
             bases = list(enumerate_admissible(spec, extend=lower[0] if length == i else lower[1]))
-        elif cache is not None and (hit := cache.load(length, min_range, floors)) is not None:
+        elif cache is not None and (hit := cache.load(length, spec.min_range, spec.floors)) is not None:
             if log:
-                log(f"cache hit: {len(hit)} bases of length {length}, range >= {min_range}")
+                log(f"cache hit: {len(hit)} bases of length {length}, range >= {spec.min_range}")
             bases = hit
         else:
             # one extended from the shorter stream is walked in this process
             bases = list(enumerate_admissible(spec, workers=workers, extend=made.get(length - 1)))
             if cache is not None:
-                cache.store(length, min_range, bases, floors)
+                cache.store(length, spec.min_range, bases, spec.floors)
         made[length] = bases
     return made[i], made[j]
 
@@ -369,30 +355,17 @@ def search_restricted(
     if streams is None:
         streams = _level_streams(target, workers=workers, cache=cache, log=log)
     prefixes, suffixes = streams
-    if log:
-        log(
-            f"k={target.k} n={target.n} pivot={target.pivot}: "
-            f"{len(prefixes)} prefixes, {len(suffixes)} suffixes"
-        )
-
     full = (1 << (target.n + 1)) - 1
     suffix_records = _suffix_records(suffixes, target.n // 2)
     prefix_records = _prefix_records(prefixes)
 
     found = _scan_pairs((prefix_records, suffix_records, full))
-
-    report = SearchReport(
-        k=target.k,
-        n=target.n,
-        pivot=target.pivot,
-        bases=tuple(sorted(found)),
-        prefix_count=len(prefixes),
-        suffix_count=len(suffixes),
-        elapsed=time.perf_counter() - t0,
-    )
     if log:
-        log(f"k={target.k} n={target.n}: {report.count} bases ({report.elapsed:.2f}s)")
-    return report
+        log(
+            f"k={target.k} n={target.n} pivot={target.pivot}: {len(prefixes)} prefixes, "
+            f"{len(suffixes)} suffixes, {len(found)} bases ({time.perf_counter() - t0:.2f}s)"
+        )
+    return SearchReport(k=target.k, n=target.n, pivot=target.pivot, bases=tuple(sorted(found)))
 
 
 def _certainly_empty(target: SearchTarget, table: CatalogTable) -> bool:

@@ -229,7 +229,7 @@ class TestPrefixCache:
         assert list(tmp_path.iterdir()) == []
         report = search_restricted(target, cache=cache)
         assert report.bases == ((0, 1, 3, 5, 7, 8),)
-        assert cache.load(*key, target.floors[: target.pivot]) is not None
+        assert cache.load(*key, target.stream(target.pivot).floors) is not None
 
     def test_floored_entry_answers_only_its_floors(self, tmp_path):
         cache = PrefixCache(tmp_path)

@@ -164,6 +164,20 @@ class TestSearch:
         assert out2 == out1
         assert "cache hit" in err
 
+    def test_enumerate_out_is_a_plain_cache_entry(self, capsys, tmp_path):
+        # an `enumerate --out` file under the name the cache gives a plain
+        # (length, min_range) entry answers the floored (5, 14) stream of
+        # k = 12, n = 64, filtered by its floors; the (6, 20) stream is
+        # extended from it
+        uncached = run(capsys, "search", "-k", "12", "-n", "64", "--threads", "1")
+        cache_dir = tmp_path / "cache"
+        path = PrefixCache(cache_dir).path_for(5, 14)
+        code, _, _ = run(capsys, "enumerate", "-k", "5", "--min-range", "14", "--threads", "1", "--out", str(path))
+        assert code == 0
+        code, out, err = run(capsys, "search", "-k", "12", "-n", "64", "--threads", "1", "--cache-dir", str(cache_dir))
+        assert (code, out) == uncached[:2]
+        assert "cache hit: 10 bases of length 5, range >= 14" in err
+
     @pytest.mark.parametrize("order", [(12, 14), (14, 12)])
     def test_descents_share_a_cache_dir(self, capsys, tmp_path, order):
         # both descents enumerate (6, 18) at their base levels, n = 64 and

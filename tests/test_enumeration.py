@@ -30,8 +30,7 @@ def walked_stream(k):
     """The stream that the k descent walks at n2*(k): its shorter stream,
     with the floors of that level."""
     target = SearchTarget.create(k, DEFAULT.known_restricted_range(k))
-    length = min(target.pivot, target.suffix_length)
-    return EnumSpec(length, target.floors[length - 1], floors=target.floors[:length])
+    return target.stream(min(target.pivot, target.suffix_length))
 
 
 @st.composite
@@ -380,11 +379,8 @@ class TestFloorStep:
         for pivot in range(1, k - 1) if k <= 10 else [k // 2]:
             for n in range(upper_bound_restricted(k) if k <= 16 else low, low - 1, -2):
                 target = SearchTarget.create(k, n, pivot)
-                for length, min_range in {
-                    (target.pivot, target.prefix_min_range),
-                    (target.suffix_length, target.suffix_min_range),
-                }:
-                    spec = EnumSpec(length, min_range, floors=target.floors[:length])
+                for length in {target.pivot, target.suffix_length}:
+                    spec = target.stream(length)
                     got = list(enumerate_admissible(spec))
                     assert got == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)
 
@@ -530,7 +526,8 @@ class TestWorkers:
     def test_split_drops_stems_below_a_floor(self):
         # the shorter stream of SearchTarget.create(12, 64): of the 17
         # plain stems of depth 4, 8 reach the floors, and only they ship
-        spec = EnumSpec(5, 14, floors=SearchTarget.create(12, 64).floors[:5])
+        spec = SearchTarget.create(12, 64).stream(5)
+        assert spec.min_range == 14
         sent = []
         with Workers(2) as workers:
             imap = workers.imap

@@ -1,6 +1,7 @@
 """Tests for the meet-in-the-middle search."""
 
 import multiprocessing
+import re
 from functools import cache
 
 import pytest
@@ -87,6 +88,11 @@ def glue_inputs(draw):
     return SearchTarget.create(k, n, i), prefixes, suffixes
 
 
+def level_lines(messages):
+    """The per-level lines of a search log, with their seconds masked."""
+    return [re.sub(r"\(\d+\.\d+s\)$", "(-s)", m) for m in messages if " prefixes, " in m]
+
+
 def n2_floors(k, n):
     """floor[d] = n/2 - n2(k - 2 - d) - 2 for d = 1..k - 2, written out
     from the lemma, unclamped; a depth whose n2(k - 2 - d) is not on
@@ -117,6 +123,19 @@ class TestFloors:
                 lemma = n2_floors(k, target.n)
                 assert target.floors == tuple(max(0, lemma.get(d, 0)) for d in range(1, max(i, j) + 1))
 
+    def test_streams_are_the_lemma(self):
+        # the one statement of a stream, against the lemma written out: the
+        # prefix of each depth d reaches floor[d], clamped at 0, and the
+        # least range is the floor at the stream's own length
+        for k in range(3, 42):
+            n = DEFAULT.known_restricted_range(k)
+            lemma = n2_floors(k, n)
+            for pivot in range(1, k - 1) if k <= 13 else [None]:
+                target = SearchTarget.create(k, n, pivot)
+                for length in (target.pivot, target.suffix_length):
+                    floors = tuple(max(0, lemma.get(d, 0)) for d in range(1, length + 1))
+                    assert target.stream(length) == EnumSpec(length, floors[-1], floors=floors), (k, pivot, length)
+
     def test_published_bases_reach_their_floors(self, restricted_fixtures):
         # every prefix of every published basis up to k = 41, wherever n2
         # is on record; the fixtures are closed under mirroring, so this
@@ -136,16 +155,12 @@ class TestFloors:
         pivots = range(1, k - 1) if k <= 9 else [None]
         with Workers(2) as workers:
             for target in descent_levels(k, pivots):
-                for length, min_range in (
-                    (target.pivot, target.prefix_min_range),
-                    (target.suffix_length, target.suffix_min_range),
-                ):
-                    floors = target.floors[:length]
+                for length in (target.pivot, target.suffix_length):
+                    spec = target.stream(length)
                     expected = [
-                        b for b in stream(length, min_range)
-                        if all(basis_range(b[: d + 1]) >= f for d, f in enumerate(floors, start=1))
+                        b for b in stream(length, spec.min_range)
+                        if all(basis_range(b[: d + 1]) >= f for d, f in enumerate(spec.floors, start=1))
                     ]
-                    spec = EnumSpec(length, min_range, floors=floors)
                     assert list(enumerate_admissible(spec)) == expected, (target, length)
                     assert list(enumerate_admissible(spec, prune=False)) == expected, (target, length)
                     assert list(enumerate_admissible(spec, workers=workers)) == expected, (target, length)
@@ -153,9 +168,8 @@ class TestFloors:
     @pytest.mark.parametrize("n,plain,floored", [(204, 4, 0), (202, 5, 0), (200, 35, 1), (198, 56, 3), (196, 213, 14)])
     def test_k23_descent_stream_sizes(self, n, plain, floored):
         target = SearchTarget.create(23, n)
-        length, min_range = target.pivot, target.prefix_min_range
-        assert len(stream(length, min_range)) == plain
-        spec = EnumSpec(length, min_range, floors=target.floors[:length])
+        spec = target.stream(target.pivot)
+        assert len(stream(spec.length, spec.min_range)) == plain
         assert sum(1 for _ in enumerate_admissible(spec)) == floored
 
 
@@ -255,11 +269,19 @@ class TestAssemble:
 
 class TestSearch:
     def test_k10_finds_all_eight(self, restricted_fixtures):
-        report = search_restricted(SearchTarget.create(10, 44))
+        target = SearchTarget.create(10, 44)
+        messages = []
+        report = search_restricted(target, log=messages.append)
         assert set(report.bases) == {f.basis for f in restricted_fixtures[10]}
         assert report.count == 8
         assert report.bases == tuple(sorted(report.bases))
-        assert report.prefix_count and report.suffix_count and report.elapsed is not None
+        # one log line per level, with the sizes of the streams it scanned
+        prefixes, suffixes = _level_streams(target)
+        assert prefixes and suffixes
+        assert re.fullmatch(
+            rf"k=10 n=44 pivot=5: {len(prefixes)} prefixes, {len(suffixes)} suffixes, 8 bases \(\d+\.\d\ds\)",
+            "\n".join(messages),
+        )
 
     def test_k10_range46_is_empty(self):
         report = search_restricted(SearchTarget.create(10, 46))
@@ -331,8 +353,9 @@ class TestSearch:
         target = SearchTarget.create(9, 40)
         cache = PrefixCache(tmp_path)
         cold = search_restricted(target, cache=cache)
-        stored = cache.load(target.pivot, target.prefix_min_range, target.floors[: target.pivot])
-        assert stored is not None and len(stored) == cold.prefix_count
+        spec = target.stream(target.pivot)
+        stored = cache.load(spec.length, spec.min_range, spec.floors)
+        assert stored and stored == _level_streams(target)[0]
         messages = []
         warm = search_restricted(target, cache=cache, log=messages.append)
         assert warm == cold
@@ -341,19 +364,12 @@ class TestSearch:
 
 def one_longer_levels(k, pivots):
     """The descent levels of k at the given pivots whose streams differ
-    in length by one element, as (target, shorter, longer), each stream a
-    (length, min_range) with the target's floors."""
+    in length by one element, as (target, shorter, longer), each stream
+    the target's EnumSpec of its length."""
     for target in descent_levels(k, pivots):
-        prefix = (target.pivot, target.prefix_min_range)
-        suffix = (target.suffix_length, target.suffix_min_range)
-        if prefix[0] == suffix[0] + 1:
-            yield target, suffix, prefix
-        elif suffix[0] == prefix[0] + 1:
-            yield target, prefix, suffix
-
-
-def floored_spec(target, length, min_range):
-    return EnumSpec(length, min_range, floors=target.floors[:length])
+        i, j = target.pivot, target.suffix_length
+        if abs(i - j) == 1:
+            yield target, target.stream(min(i, j)), target.stream(max(i, j))
 
 
 class TestExtension:
@@ -365,10 +381,8 @@ class TestExtension:
     @staticmethod
     def check(k, pivots, workers=None, prune=True):
         levels = 0
-        for target, shorter, longer in one_longer_levels(k, pivots):
-            short_spec = floored_spec(target, *shorter)
-            long_spec = floored_spec(target, *longer)
-            assert long_spec.floors[shorter[0] - 1] == short_spec.min_range
+        for target, short_spec, long_spec in one_longer_levels(k, pivots):
+            assert long_spec.floors[short_spec.length - 1] == short_spec.min_range
             short = list(enumerate_admissible(short_spec, prune=prune, workers=workers))
             extended = list(enumerate_admissible(long_spec, prune=prune, extend=short))
             assert extended == list(enumerate_admissible(long_spec)), target
@@ -395,22 +409,22 @@ class TestExtension:
     @pytest.mark.parametrize("k", range(4, 14))
     def test_search_equals_direct_streams(self, k):
         # search_restricted extends the longer stream itself; the direct
-        # streams passed in give the same report and the same counts
+        # streams passed in give the same report, and they are the streams
+        # that _level_streams makes
         for pivot in range(1, k - 1):
             for target in descent_levels(k, [pivot]):
-                i, j = target.pivot, target.suffix_length
-                prefixes = list(enumerate_admissible(floored_spec(target, i, target.prefix_min_range)))
-                suffixes = list(enumerate_admissible(floored_spec(target, j, target.suffix_min_range)))
+                prefixes = list(enumerate_admissible(target.stream(target.pivot)))
+                suffixes = list(enumerate_admissible(target.stream(target.suffix_length)))
                 direct = search_restricted(target, streams=(prefixes, suffixes))
-                report = search_restricted(target)
-                assert report == direct, target
-                assert (report.prefix_count, report.suffix_count) == (len(prefixes), len(suffixes))
+                assert search_restricted(target) == direct, target
+                assert _level_streams(target) == (prefixes, suffixes), target
 
     def test_empty_shorter_stream_walks_no_node(self, monkeypatch):
         # k = 12, n = 68: both floored streams are empty, so the longer
         # (6, .) stream is extended from no stem at all
         target = SearchTarget.create(12, 68)
         assert (target.pivot, target.suffix_length) == (6, 5)
+        assert _level_streams(target) == ([], [])
         walked = []
         real = enumeration._iter_admissible
 
@@ -420,8 +434,7 @@ class TestExtension:
             return real(length, min_range, starts, prune, floors)
 
         monkeypatch.setattr(enumeration, "_iter_admissible", spy)
-        report = search_restricted(target)
-        assert report.bases == () and report.prefix_count == report.suffix_count == 0
+        assert search_restricted(target).bases == ()
         assert walked == [(5, 1), (6, 0)]
 
 
@@ -431,8 +444,7 @@ class TestExtensionCache:
     streams given as a pair are used as they are."""
 
     TARGET = SearchTarget.create(12, 64)
-    SHORT = (5, TARGET.suffix_min_range, TARGET.floors[:5])
-    LONG = (6, TARGET.prefix_min_range, TARGET.floors[:6])
+    SHORT, LONG = TARGET.stream(5), TARGET.stream(6)
 
     @pytest.fixture
     def enum_calls(self, monkeypatch):
@@ -448,31 +460,27 @@ class TestExtensionCache:
         monkeypatch.setattr(mitm, "enumerate_admissible", spy)
         return calls
 
-    @staticmethod
-    def direct(length, min_range, floors):
-        return list(enumerate_admissible(EnumSpec(length, min_range, floors=floors)))
-
     def test_shorter_stream_cached(self, tmp_path, enum_calls):
         cold = search_restricted(self.TARGET)
         enum_calls.clear()
         cache = PrefixCache(tmp_path)
-        length, min_range, floors = self.SHORT
-        cache.store(length, min_range, self.direct(*self.SHORT), floors)
+        short = self.SHORT
+        cache.store(short.length, short.min_range, enumerate_admissible(short), short.floors)
         assert search_restricted(self.TARGET, cache=cache) == cold
         assert enum_calls == [(6, True)]
         # the extended stream is stored under its floored key
-        length, min_range, floors = self.LONG
-        assert cache.path_for(length, min_range, floors).exists()
-        assert cache.load(length, min_range, floors) == self.direct(*self.LONG)
+        long = self.LONG
+        assert cache.path_for(long.length, long.min_range, long.floors).exists()
+        assert cache.load(long.length, long.min_range, long.floors) == list(enumerate_admissible(long))
 
     @pytest.mark.parametrize("floored", [True, False])
     def test_longer_stream_cached(self, tmp_path, enum_calls, floored):
         cold = search_restricted(self.TARGET)
         enum_calls.clear()
         cache = PrefixCache(tmp_path)
-        length, min_range, floors = self.LONG
+        length, min_range, floors = self.LONG.length, self.LONG.min_range, self.LONG.floors
         if floored:
-            cache.store(length, min_range, self.direct(*self.LONG), floors)
+            cache.store(length, min_range, enumerate_admissible(self.LONG), floors)
         else:
             cache.store(length, min_range, enumerate_admissible(EnumSpec(length, min_range)))
         messages = []
@@ -487,7 +495,7 @@ class TestExtensionCache:
         cold = search_restricted(self.TARGET)
         enum_calls.clear()
         plain = tuple(
-            list(enumerate_admissible(EnumSpec(length, min_range))) for length, min_range, _ in (self.LONG, self.SHORT)
+            list(enumerate_admissible(EnumSpec(spec.length, spec.min_range))) for spec in (self.LONG, self.SHORT)
         )
         assert search_restricted(self.TARGET, streams=plain) == cold
         assert enum_calls == []
@@ -593,14 +601,14 @@ class TestFindExtremal:
         assert rounds[0].endswith(f"; n={filtered} filtered from them")
 
 
-def stepwise_descent(k, pivot=None, table=DEFAULT):
+def stepwise_descent(k, pivot=None, table=DEFAULT, log=None):
     """The descent with each level's streams enumerated directly, top
     down: the reference for the filtered one."""
     bound = upper_bound_restricted(k, table)
     for n in range(bound - bound % 2, 1, -2):
         target = SearchTarget.create(k, n, pivot, table)
         if not _certainly_empty(target, table):
-            report = search_restricted(target)
+            report = search_restricted(target, log=log)
             if report.bases:
                 return report
 
@@ -618,11 +626,8 @@ class TestFilteredDescent:
             lower = _level_streams(SearchTarget.create(k, DEFAULT.known_restricted_range(k), pivot))
             for target in descent_levels(k, [pivot]):
                 direct = tuple(
-                    list(enumerate_admissible(floored_spec(target, length, min_range)))
-                    for length, min_range in (
-                        (target.pivot, target.prefix_min_range),
-                        (target.suffix_length, target.suffix_min_range),
-                    )
+                    list(enumerate_admissible(target.stream(length)))
+                    for length in (target.pivot, target.suffix_length)
                 )
                 assert _level_streams(target, lower=lower) == direct, target
 
@@ -635,10 +640,13 @@ class TestFilteredDescent:
             del restricted[k]
         else:
             restricted[k] += hint
-        report = find_extremal_restricted(k, table=CatalogTable(DEFAULT.unrestricted, restricted))
-        expected = find_extremal_restricted(k)
+        messages, expected_messages = [], []
+        table = CatalogTable(DEFAULT.unrestricted, restricted)
+        report = find_extremal_restricted(k, table=table, log=messages.append)
+        expected = find_extremal_restricted(k, log=expected_messages.append)
         assert report == expected
-        assert (report.prefix_count, report.suffix_count) == (expected.prefix_count, expected.suffix_count)
+        # every level is scanned with the same stream sizes
+        assert level_lines(messages) == level_lines(expected_messages)
 
     @pytest.mark.parametrize("k", [3, 12, 23])
     def test_exact_hint_walks_only_the_base_level(self, k, monkeypatch):
@@ -654,9 +662,7 @@ class TestFilteredDescent:
         base = SearchTarget.create(k, report.n)
         j = base.suffix_length
         # the shorter stream of the base level, or its one stream for odd k
-        assert [spec for spec, extended in calls if not extended] == [
-            EnumSpec(j, base.suffix_min_range, floors=base.floors[:j])
-        ]
+        assert [spec for spec, extended in calls if not extended] == [base.stream(j)]
         levels = (upper_bound_restricted(k) - report.n) // 2 + 1
         assert len(calls) == levels * (1 if k % 2 else 2)
 
@@ -664,10 +670,12 @@ class TestFilteredDescent:
     def test_equals_the_stepwise_descent(self, k):
         pivots = range(1, k - 1) if k <= 13 else [None]
         for pivot in pivots:
-            report = find_extremal_restricted(k, pivot)
-            expected = stepwise_descent(k, pivot)
+            messages, expected_messages = [], []
+            report = find_extremal_restricted(k, pivot, log=messages.append)
+            expected = stepwise_descent(k, pivot, log=expected_messages.append)
             assert report == expected, pivot
-            assert (report.prefix_count, report.suffix_count) == (expected.prefix_count, expected.suffix_count)
+            # the same levels, scanned with the same stream sizes
+            assert level_lines(messages) == level_lines(expected_messages), pivot
 
     @pytest.mark.parametrize("k", range(27, 30))
     def test_published_lengths_27_to_29(self, k, restricted_fixtures):
@@ -757,8 +765,3 @@ class TestReportShape:
     def test_count_property(self):
         report = SearchReport(k=3, n=8, pivot=1, bases=((0, 1, 3, 4),))
         assert report.count == 1
-
-    def test_equality_ignores_metadata(self):
-        a = SearchReport(k=3, n=8, pivot=1, bases=(), elapsed=1.0, prefix_count=5)
-        b = SearchReport(k=3, n=8, pivot=1, bases=(), elapsed=2.0, prefix_count=9)
-        assert a == b

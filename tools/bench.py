@@ -70,8 +70,7 @@ def descent_spec(k: int) -> EnumSpec:
     the two streams at n2*(k), or the one stream that odd k shares, with
     the floors of that level."""
     target = SearchTarget.create(k, DEFAULT.known_restricted_range(k))
-    length = min(target.pivot, target.suffix_length)
-    return EnumSpec(length, target.floors[length - 1], floors=target.floors[:length])
+    return target.stream(min(target.pivot, target.suffix_length))
 
 
 def dfs(args):
@@ -89,7 +88,7 @@ def dfs(args):
     cache entries still produce them.  Then come the floored streams that
     the k = 22, 23, 26, 28 and 30 descents walk from the root: the
     shorter stream at n2*(k), with the floors of that level
-    (`SearchTarget.floors`).  The descent extends the longer stream from
+    (`SearchTarget.stream`).  The descent extends the longer stream from
     it and filters every higher level from the two, so these walks are
     where a descent's enumeration time goes.  Each stream is timed once
     per round; the median over rounds is reported together with the
@@ -180,10 +179,10 @@ def scan(args):
 
 # io
 
-IO_LENGTH, IO_MIN_RANGE = 10, 30
-# the floors of the length-10 streams of `search -k 21 -n 144`, whose
-# least range is 30: a plain (10, 30) entry answers them once filtered
-IO_FLOORS = SearchTarget.create(21, 144).floors[:IO_LENGTH]
+# the length-10 streams of `search -k 21 -n 144`, whose least range is
+# 30: a plain (10, 30) entry answers them once filtered by their floors
+IO_FLOORED = SearchTarget.create(21, 144).stream(10)
+IO_LENGTH, IO_MIN_RANGE, IO_FLOORS = IO_FLOORED.length, IO_FLOORED.min_range, IO_FLOORED.floors
 STEPS = ("store", "load", "load_floored", "classify", "verify")
 
 
@@ -247,7 +246,7 @@ def io(args):
     they keep.
     """
     stream = list(enumerate_admissible(EnumSpec(IO_LENGTH, IO_MIN_RANGE)))
-    floored = list(enumerate_admissible(EnumSpec(IO_LENGTH, IO_MIN_RANGE, floors=IO_FLOORS)))
+    floored = list(enumerate_admissible(IO_FLOORED))
     rounds = [time_round(stream, floored) for _ in range(args.rounds)]
     for step in STEPS:
         row = {"step": step, "stream": [IO_LENGTH, IO_MIN_RANGE], "bases": len(stream)}
