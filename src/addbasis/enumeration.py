@@ -119,6 +119,27 @@ the end decides how evenly the workers finish.  Stems with at most
 `SHALLOW_STEMS_PER_WORKER` of them per worker balance; deeper stems
 need `STEMS_PER_WORKER`.  The plan is a list that `enumerate_admissible`
 maps over the pool, so it can be read without starting one.
+
+The walk runs in a compiled kernel, `_walk.c`, a port of `_python_walk`
+that pops the same nodes and yields the same bases in the same order,
+at 0.07-0.14x its CPU on the streams of `tools/bench.py dfs`
+(BENCH_28.json; 0.30x on (10, 30), whose time goes to rebuilding its
+192,684 bases as tuples).  The first walk builds it with the system
+`cc -O2 -shared -fPIC` into $XDG_CACHE_HOME/addbasis (else
+~/.cache/addbasis), under a name keyed by a zlib.crc32 of the machine
+type, the source and the command, and loads it with ctypes, which is
+imported only then.  Its
+bit vectors are 2, 4, 6 or 8 words of 64 bits, the fewest that hold the
+stream; 3, 5 and 7 words were slower than the next even width.  An
+admissible basis of length L has elements at most L(L+1)/2, since a
+prefix of m elements has at most m(m+1)/2 sums, so its coverage fits in
+L(L+1) + 1 bits, and the range target takes min_range + 1: 8 words hold
+every length up to 22, which is both streams of every k up to 45 at the
+default pivot.  A stem with an element past the bound extends to
+nothing, so the kernel skips it.  Any other stream walks in Python, as
+every walk does where the kernel cannot be built (one line on stderr
+says why, unless no compiler is on PATH); `_python_walk` is also the reference that the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -189,17 +210,18 @@ def _ascending(cand: int, lo: int) -> Iterator[int]:
         yield lo - 1 + low.bit_length()
 
 
-def _iter_admissible(
+def _python_walk(
     length: int,
     min_range: int,
     starts: Iterable[Sequence[int]],
     prune: bool,
     floors: Sequence[int] = (),
 ) -> Iterator[Basis]:
-    """DFS core: every admissible extension of each stem in `starts` to
-    `length`, with range >= min_range and each prefix of depth d at range
-    >= floors[d - 1], stem after stem and in lexicographic order below
-    each.
+    """The DFS in Python, the compiled kernel's reference and fallback
+    (see `_iter_admissible`): every admissible extension of each stem in
+    `starts` to `length`, with range >= min_range and each prefix of
+    depth d at range >= floors[d - 1], stem after stem and in
+    lexicographic order below each.
 
     The tables that depend only on the stream (tmask, spare, floor_mask
     and the starts of the run bound and the in-range cap) are built once
@@ -361,6 +383,25 @@ def _iter_admissible(
                     y = x + low.bit_length()
                     if holes & ((m1 | (1 << y)) << y) == holes:
                         yield prefix + (x, y)
+
+
+def _iter_admissible(
+    length: int,
+    min_range: int,
+    starts: Iterable[Sequence[int]],
+    prune: bool,
+    floors: Sequence[int] = (),
+) -> Iterator[Basis]:
+    """DFS core: every admissible extension of each stem in `starts` to
+    `length`, with range >= min_range and each prefix of depth d at range
+    >= floors[d - 1], stem after stem and in lexicographic order below
+    each, exactly as `_python_walk` gives it: `_walk.walk` runs it in the
+    compiled kernel where that loads and holds the stream, and in
+    `_python_walk` otherwise."""
+    # imported with the first walk, and ctypes with it, not with the package
+    from . import _walk
+
+    return _walk.walk(length, min_range, starts, prune, floors)
 
 
 # a stream is split into at least this many stems per worker ...

@@ -1,7 +1,12 @@
 """A run loads a module only when it first uses it: a search imports
 neither `multiprocessing` nor the oracle until it starts a pool or asks
 for the brute force, the library never imports `json`, and the command
-line imports `json` and the oracle only in the branches that use them."""
+line imports `json` and the oracle only in the branches that use them.
+The compiled walker's module, `addbasis._walk`, loads with the first
+walk, and `ctypes` and `array` with it; `subprocess` only to build the
+kernel.  No search imports `hashlib`, which loads OpenSSL and adds 3.6 MB
+to the process's memory: the kernel's cache file is keyed with
+zlib.crc32 instead."""
 
 import os
 import subprocess
@@ -21,7 +26,7 @@ FRESH = textwrap.dedent(
 
     import addbasis.core, addbasis.enumeration, addbasis.catalog, addbasis.mitm, addbasis.cli
 
-    LAZY = ("multiprocessing", "json", "addbasis.oracle")
+    LAZY = ("multiprocessing", "json", "addbasis.oracle", "addbasis._walk", "array", "ctypes", "subprocess")
     print("loaded:", *[name for name in LAZY if name in sys.modules])
 
     from addbasis import OracleResult, brute_force
@@ -31,6 +36,9 @@ FRESH = textwrap.dedent(
         addbasis.no_such_name
     except AttributeError as exc:
         print("missing:", exc)
+
+    addbasis.find_extremal_restricted(12)
+    print("after a serial search:", "hashlib" in sys.modules)
 
     addbasis.find_extremal_restricted(12, processes=2)
     print("after a parallel search:", "multiprocessing" in sys.modules)
@@ -50,6 +58,7 @@ def test_modules_load_on_first_use(started_pools):
     assert proc.stdout.splitlines() == [
         "loaded:",
         "missing: module 'addbasis' has no attribute 'no_such_name'",
+        "after a serial search: False",
         "after a parallel search: True",
     ]
     # the pool, whose module is imported when it starts, still comes

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from addbasis import _walk
 from addbasis.catalog import DEFAULT
 from addbasis.enumeration import enumerate_admissible
 from addbasis.mitm import SearchTarget, _level_streams
@@ -71,6 +72,15 @@ def test_dfs_walks_the_shorter_stream_of_a_descent(bench, k, count):
     shorter = suffixes if target.suffix_length < target.pivot else prefixes
     assert list(enumerate_admissible(bench.descent_spec(k))) == list(shorter)
     assert len(shorter) == count
+
+
+def test_dfs_counts_the_kernel_nodes(bench):
+    # the k = 30 base stream pops 569,467 nodes in the Python walk too
+    if _walk.kernel() is None:
+        pytest.skip("no kernel: no C compiler on PATH and none cached")
+    assert bench.kernel_nodes(bench.descent_spec(30)) == 569_467
+    with _walk.reference():
+        assert bench.kernel_nodes(bench.descent_spec(30)) is None
 
 
 @pytest.mark.parametrize(

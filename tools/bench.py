@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from addbasis import enumeration  # noqa: E402
+from addbasis import _walk, enumeration  # noqa: E402
 from addbasis.catalog import DEFAULT, PrefixCache  # noqa: E402
 from addbasis.cli import main as cli_main  # noqa: E402
 from addbasis.core import basis_range, classify  # noqa: E402
@@ -73,45 +73,64 @@ def descent_spec(k: int) -> EnumSpec:
     return target.stream(min(target.pivot, target.suffix_length))
 
 
+def kernel_nodes(spec: EnumSpec) -> int | None:
+    """The nodes the compiled kernel pops walking spec from the root, or
+    None where it does not walk spec."""
+    for _ in enumerate_admissible(spec):
+        pass
+    return _walk.nodes
+
+
 def dfs(args):
-    """Time the DFS enumerator on fixed streams.
+    """Time the DFS enumerator on fixed streams, kernel against Python.
 
     Each stream is one `enumerate_admissible(EnumSpec(...))` call, run
-    serially and consumed in full inside the timed region.  Time is
-    `time.process_time` (CPU seconds of this process), so the numbers do
-    not count waiting for a shared machine.  The plain streams are the
-    five that the k = 23 descent enumerated before it had per-depth
-    floors, (11, 54) down to (11, 50), plus (12, 56), (10, 30), (10, 40),
-    which `search -k 21 -n 164` used for both halves, the k = 22
-    descent's final level, (11, 48) and (10, 42), and (13, 72), the first
-    stream of the k = 26 descent before the floors; `enumerate` and plain
-    cache entries still produce them.  Then come the floored streams that
-    the k = 22, 23, 26, 28 and 30 descents walk from the root: the
-    shorter stream at n2*(k), with the floors of that level
-    (`SearchTarget.stream`).  The descent extends the longer stream from
-    it and filters every higher level from the two, so these walks are
-    where a descent's enumeration time goes.  Each stream is timed once
-    per round; the median over rounds is reported together with the
-    stream size and bases per second.
+    serially and consumed in full inside the timed region, once by the
+    compiled kernel and once by `enumeration._python_walk`, the Python
+    reference, back to back in this process; which goes first alternates
+    per round.  Time is `time.process_time` (CPU seconds of this
+    process), so the numbers do not count waiting for a shared machine.
+    The plain streams are the five that the k = 23 descent enumerated
+    before it had per-depth floors, (11, 54) down to (11, 50), plus
+    (12, 56), (10, 30), (10, 40), which `search -k 21 -n 164` used for
+    both halves, the k = 22 descent's final level, (11, 48) and
+    (10, 42), and (13, 72), the first stream of the k = 26 descent before
+    the floors; `enumerate` and plain cache entries still produce them.
+    Then come the floored streams that the k = 22, 23, 26, 28 and 30
+    descents walk from the root: the shorter stream at n2*(k), with the
+    floors of that level (`SearchTarget.stream`).  The descent extends
+    the longer stream from it and filters every higher level from the
+    two, so these walks are where a descent's enumeration time goes.
+    Each row gives the stream size, the nodes the kernel pops, the median
+    over rounds of each side's CPU seconds, their ratio (kernel /
+    Python), and the kernel's bases per second.  Without a kernel both
+    sides run in Python.
     """
     # (descent, spec); descent None for a plain stream
     streams = [(None, EnumSpec(*s)) for s in PLAIN]
     streams += [(k, descent_spec(k)) for k in DESCENTS]
     times: list[list[dict[str, float]]] = [[] for _ in streams]
     counts: list[int] = [0] * len(streams)
-    for _ in range(args.rounds):
+    for r in range(args.rounds):
         for i, (_, spec) in enumerate(streams):
-            start = time.process_time()
-            counts[i] = sum(1 for _ in enumerate_admissible(spec))
-            times[i].append({"cpu_s": time.process_time() - start})
+            sample = {}
+            for side in ("kernel", "python") if r % 2 == 0 else ("python", "kernel"):
+                with _walk.reference() if side == "python" else contextlib.nullcontext():
+                    start = time.process_time()
+                    counts[i] = sum(1 for _ in enumerate_admissible(spec))
+                    sample[side] = time.process_time() - start
+            times[i].append({"kernel_cpu_s": sample["kernel"], "python_cpu_s": sample["python"]})
     for (k, spec), count, samples in zip(streams, counts, times):
+        kernel, python = (statistics.median(s[key] for s in samples) for key in ("kernel_cpu_s", "python_cpu_s"))
         yield {
             "length": spec.length,
             "min_range": spec.min_range,
             "floors_of": None if k is None else f"k={k}",
             "floors": list(spec.floors) or None,
             "bases": count,
+            "kernel_nodes": kernel_nodes(spec),
             **median_row(samples, bases=count),
+            "ratio": round(kernel / python, 3) if python else None,
         }
 
 
