@@ -1,8 +1,8 @@
 /* The compiled DFS walker: a port of enumeration._python_walk, the
- * reference it is tested against.  It visits the same nodes, makes the same
- * cuts and writes the same bases in the same order; the docstrings of
- * enumeration._python_walk and of the enumeration module say why each cut
- * is exact.
+ * reference it is tested against.  It visits the same nodes, always makes
+ * the five cuts and writes the same bases in the same order; the docstrings
+ * of enumeration._python_walk and of the enumeration module say why each
+ * cut is exact.
  *
  * Bit vectors are W words of 64 bits.  An admissible basis of length L has
  * elements at most L(L+1)/2, since a prefix of m elements has at most
@@ -32,7 +32,6 @@
 #define CAT(a, b) CAT2(a, b)
 /* the longest stream whose coverage, L(L+1) + 1 bits, fits in 8 words */
 #define MAX_LENGTH 22
-#define NEVER 0x7fffffff
 
 /* Python's a // 2, which rounds toward minus infinity */
 static int floor_half(int a) { return a >= 0 ? a / 2 : -((1 - a) / 2); }
@@ -40,7 +39,7 @@ static int floor_half(int a) { return a >= 0 ? a / 2 : -((1 - a) / 2); }
 /* what every width shares: the stream, the stem batch and the counter */
 struct common {
     long (*next)(void *, int *, long);
-    int length, kp1, two_short, min_range, prune, bound;
+    int length, kp1, two_short, min_range, bound;
     int spare[MAX_LENGTH + 2];
     int run_below, cap_from;
     int nfloors, floors[MAX_LENGTH];
@@ -65,7 +64,7 @@ struct common {
 /* A walker for the stream of `length` with range target min_range and, when
  * nfloors == length, one least range per depth 1..length; NULL when no
  * width holds it. */
-void *walk_new(int length, int min_range, int prune, const int *floors, int nfloors)
+void *walk_new(int length, int min_range, const int *floors, int nfloors)
 {
     if (length < 1 || length > MAX_LENGTH || min_range < 0 || (nfloors && nfloors != length))
         return NULL;
@@ -93,16 +92,15 @@ void *walk_new(int length, int min_range, int prune, const int *floors, int nflo
     c->kp1 = kp1;
     c->two_short = kp1 - 2;
     c->min_range = min_range;
-    c->prune = prune != 0;
     c->bound = length * (length + 1) / 2;
     /* spare[n]: the holes in [0, min_range] that the counting bound lets a
      * node with n elements leave open */
     for (int n = 0; n <= kp1; n++) {
         int m = kp1 - n;
-        c->spare[n] = prune ? m * n + m * (m + 1) / 2 : min_range + 1;
+        c->spare[n] = m * n + m * (m + 1) / 2;
     }
-    c->run_below = prune ? floor_half(min_range - 2) : -1;
-    c->cap_from = prune ? (min_range + 1) / 2 : NEVER;
+    c->run_below = floor_half(min_range - 2);
+    c->cap_from = (min_range + 1) / 2;
     c->nfloors = nfloors;
     if (nfloors)
         memcpy(c->floors, floors, sizeof(int) * nfloors);
@@ -297,7 +295,7 @@ static inline B F(floor_step)(B below, B rev, int lo, int hi)
  * else every a in [lo, hi]. */
 static inline B F(candidates)(struct F(walk) *s, B below, struct F(node) *n)
 {
-    if (F(any)(below) && s->c.prune)
+    if (F(any)(below))
         return F(floor_step)(below, n->rev, n->lo, n->hi);
     return n->hi < n->lo ? F(zero)() : F(low)(n->hi - n->lo + 1);
 }
@@ -379,7 +377,7 @@ static int F(next_x)(struct F(walk) *s)
         if (x >= s->c.cap_from && count > F(count)(F(shr)(r1, 2 * x + 1 - T)))
             continue;
         B ys;
-        if (s->c.prune && F(any)(holes)) {
+        if (F(any)(holes)) {
             int g = F(lowest)(holes), h = F(highest)(holes);
             B hs = F(shl)(r1, h - x);
             if (!(h & 1))

@@ -85,7 +85,7 @@ def load():
             print(f"addbasis: walking in Python, no DFS kernel at {path}: {err}", file=sys.stderr)
         return None
     pointer, number = ctypes.c_void_p, ctypes.c_int
-    library.walk_new.argtypes = (number, number, number, pointer, number)
+    library.walk_new.argtypes = (number, number, pointer, number)
     library.walk_new.restype = pointer
     library.walk_stems.argtypes = (pointer, pointer, pointer, number)
     library.walk_stems.restype = None
@@ -122,7 +122,6 @@ def walk(
     length: int,
     min_range: int,
     starts: Iterable[Sequence[int]],
-    prune: bool,
     floors: Sequence[int] = (),
 ) -> Iterator[Basis]:
     """`enumeration._iter_admissible`'s stream, in the kernel when it
@@ -146,9 +145,9 @@ def walk(
     # kernel holds one
     if walker is not None and max(length, min_range) < 1 << 31:
         least = array("i", floors)
-        state = walker.walk_new(length, min_range, prune, least.buffer_info()[0], len(least))
+        state = walker.walk_new(length, min_range, least.buffer_info()[0], len(least))
     if not state:
-        yield from enumeration._python_walk(length, min_range, starts, prune, floors)
+        yield from enumeration._python_walk(length, min_range, starts, True, floors)
         return
     kp1 = length + 1
     cap = CHUNK_INTS // kp1

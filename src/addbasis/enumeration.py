@@ -64,7 +64,7 @@ so its extension is that x's exact step.
 
 A stream may also carry floors, one least range per depth (the split
 bound of the mitm module, applied at every depth).  They define the
-stream rather than prune it, like T: the walk drops a child whose first
+stream rather than cut it, like T: the walk drops a child whose first
 gap is at most the floor of its depth, an x two short that leaves a hole
 at or below its floor, and a stem whose own prefixes miss theirs, so the
 stream below any set of stems is the serial stream filtered to them.
@@ -88,17 +88,12 @@ which includes every node of a depth whose floor is 0, has no step to
 take and tries each next element in turn.  floor[0] is 0, so the empty
 prefix, where g = 0 = 2 * 0, never takes the step.
 
-The search below T is exact either way; pruning changes the work, never
-the stream.  Long runs can be partitioned by stems, the partial bases
-of one depth, and distributed over processes; results are merged back
-in lexicographic order.
+Long runs can be partitioned by stems, the partial bases of one depth,
+and distributed over processes; results are merged back in
+lexicographic order.
 
-The processes come from one `Workers` per search: the n2* descent
-enumerates streams once per round, at the round's base level, and when
-it still enumerated one or two streams per level, a pool per stream cost
-the k = 22 descent 0.16 s of wall time on a 2-core machine for its 10
-pools (0.11 s to start them, 0.05 s to stop them; BENCH_11.json), so a
-search opens one `Workers` and passes it to every stream.  It starts its
+The processes come from one `Workers` per search, which it passes to
+every stream, so a search starts at most one pool.  It starts its
 pool on the first parallel map, not when it is opened, so a search whose
 streams all come from a cache, or are given, forks no process; the pool
 is closed when the `with` block ends, also on an exception.  The
@@ -117,15 +112,18 @@ parent up to about a millisecond of CPU, while the largest job left at
 the end decides how evenly the workers finish.  Stems with at most
 `SHALLOW_LEVELS` levels below them make small jobs, so
 `SHALLOW_STEMS_PER_WORKER` of them per worker balance; deeper stems
-need `STEMS_PER_WORKER`.  The plan is a list that `enumerate_admissible`
-maps over the pool, so it can be read without starting one.
+need `STEMS_PER_WORKER`.  With the kernel, 8 stems per worker at every
+length tied or won with 2 workers up to k = 37, and lost at k = 38,
+where its 17 jobs balance worse than 65 (BENCH_29.json).  The plan is a
+list that `enumerate_admissible` maps over the pool, so it can be read
+without starting one.
 
 The walk runs in a compiled kernel, `_walk.c`, a port of `_python_walk`
 that pops the same nodes and yields the same bases in the same order,
-at 0.07-0.14x its CPU on the streams of `tools/bench.py dfs`
-(BENCH_28.json; 0.30x on (10, 30), whose time goes to rebuilding its
-192,684 bases as tuples).  The first walk builds it with the system
-`cc -O2 -shared -fPIC` into $XDG_CACHE_HOME/addbasis (else
+always with the five cuts, at 0.07-0.14x its CPU on the streams of
+`tools/bench.py dfs` (BENCH_28.json; 0.30x on (10, 30), whose time goes
+to rebuilding its 192,684 bases as tuples).  The first walk builds it
+with the system `cc -O2 -shared -fPIC` into $XDG_CACHE_HOME/addbasis (else
 ~/.cache/addbasis), under a name keyed by a zlib.crc32 of the machine
 type, the source and the command, and loads it with ctypes, which is
 imported only then.  Its
@@ -138,8 +136,9 @@ every length up to 22, which is both streams of every k up to 45 at the
 default pivot.  A stem with an element past the bound extends to
 nothing, so the kernel skips it.  Any other stream walks in Python, as
 every walk does where the kernel cannot be built (one line on stderr
-says why, unless no compiler is on PATH); `_python_walk` is also the reference that the kernel is
-tested against.
+says why, unless no compiler is on PATH).  `_python_walk` is also the
+reference that the kernel is tested against, and with prune=False, which
+makes none of the cuts, the unpruned reference for both.
 """
 
 from __future__ import annotations
@@ -158,8 +157,8 @@ class EnumSpec:
     `floors`, when given, has one entry per depth d = 1..length, none above
     min_range, and keeps only the bases whose prefix of depth d (its first
     d + 1 elements) has range >= floors[d - 1].  The floors are part of
-    what is enumerated, like min_range: prune=False keeps them.  They are
-    keyword-only and always kept as a tuple.
+    what is enumerated, like min_range.  They are keyword-only and always
+    kept as a tuple.
     """
 
     length: int
@@ -275,8 +274,10 @@ def _python_walk(
       every y in [x + 1, g], and every kept y must cover all of `holes`.
 
     prune=False turns off all five cuts, not the floors, and keeps every
-    y in [x + 1, g].  The soundness property test pins the cuts against
-    the oracle, and the prune on/off tests pin each of them.
+    y in [x + 1, g]: the same stream, with more work.  No production
+    walk passes it; it is the unpruned reference that the tests compare
+    the kernel and this walk's cuts against, each of which they pin.
+    The soundness property test pins the cuts against the oracle too.
     """
     kp1 = length + 1
     tmask = (1 << (min_range + 1)) - 1
@@ -389,19 +390,18 @@ def _iter_admissible(
     length: int,
     min_range: int,
     starts: Iterable[Sequence[int]],
-    prune: bool,
     floors: Sequence[int] = (),
 ) -> Iterator[Basis]:
     """DFS core: every admissible extension of each stem in `starts` to
     `length`, with range >= min_range and each prefix of depth d at range
     >= floors[d - 1], stem after stem and in lexicographic order below
-    each, exactly as `_python_walk` gives it: `_walk.walk` runs it in the
-    compiled kernel where that loads and holds the stream, and in
-    `_python_walk` otherwise."""
+    each, exactly as `_python_walk` gives it with its cuts on:
+    `_walk.walk` runs it in the compiled kernel where that loads and
+    holds the stream, and in `_python_walk` otherwise."""
     # imported with the first walk, and ctypes with it, not with the package
     from . import _walk
 
-    return _walk.walk(length, min_range, starts, prune, floors)
+    return _walk.walk(length, min_range, starts, floors)
 
 
 # a stream is split into at least this many stems per worker ...
@@ -451,7 +451,7 @@ class Workers:
         return self._pool.imap(func, jobs, chunksize=1)
 
 
-def _collect(args: tuple[int, int, tuple[Basis], bool, tuple[int, ...]]) -> list[Basis]:
+def _collect(args: tuple[int, int, tuple[Basis], tuple[int, ...]]) -> list[Basis]:
     return list(_iter_admissible(*args))
 
 
@@ -466,7 +466,7 @@ def _stem(elements: Sequence[int], depth: int) -> Basis:
     return stem
 
 
-def _split(spec: EnumSpec, processes: int, prune: bool) -> list[Basis]:
+def _split(spec: EnumSpec, processes: int) -> list[Basis]:
     """The stems that a stream of `spec.length` >= 3 is split into for
     `processes` workers, in lexicographic order: those of the least depth
     d that gives enough jobs, the stream of length d with the spec's
@@ -483,33 +483,23 @@ def _split(spec: EnumSpec, processes: int, prune: bool) -> list[Basis]:
         if len(parts) >= per_worker * processes:
             break
         depth += 1
-        parts = list(_iter_admissible(depth, max(floors[:depth], default=0), parts, prune, floors[:depth]))
+        parts = list(_iter_admissible(depth, max(floors[:depth], default=0), parts, floors[:depth]))
     return parts
 
 
 def enumerate_admissible(
     spec: EnumSpec,
     *,
-    prune: bool = True,
     workers: Workers | None = None,
     extend: Iterable[Sequence[int]] | None = None,
 ) -> Iterator[Basis]:
     """Yield every admissible basis of spec.length with range >= spec.min_range
     whose prefixes reach spec.floors, in lexicographic order.
 
-    prune=False disables the five cuts (same stream, more work):
-
-    - the counting cut;
-    - the floor step;
-    - the run bound;
-    - the in-range cap;
-    - the exact last-element step.
-
-    The floors of the spec stay, as they define the stream.  With
-    `workers` of more than one process, the stream is split at the stems
-    that `_split` picks, those of the least depth d that gives enough
-    jobs; the stems are walked in its pool and their results merge back
-    in order.  Without, the stream is enumerated in this process.
+    With `workers` of more than one process, the stream is split at the
+    stems that `_split` picks, those of the least depth d that gives
+    enough jobs; the stems are walked in its pool and their results merge
+    back in order.  Without, the stream is enumerated in this process.
 
     `extend`, partial bases of at most spec.length + 1 elements, is the
     way to walk below given stems: the result is then the extensions of
@@ -522,8 +512,8 @@ def enumerate_admissible(
     if extend is not None or workers is None or workers.processes <= 1 or spec.length <= 2:
         # the serial walk is the walk below the root stem (0,)
         starts = ((0,),) if extend is None else (_stem(b, spec.length) for b in extend)
-        yield from _iter_admissible(spec.length, spec.min_range, starts, prune, spec.floors)
+        yield from _iter_admissible(spec.length, spec.min_range, starts, spec.floors)
         return
-    jobs = [(spec.length, spec.min_range, (stem,), prune, spec.floors) for stem in _split(spec, workers.processes, prune)]
+    jobs = [(spec.length, spec.min_range, (stem,), spec.floors) for stem in _split(spec, workers.processes)]
     for chunk in workers.imap(_collect, jobs):
         yield from chunk

@@ -50,6 +50,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"[{label:>7}] criterion {num}: {CRITERIA[num]}")
 
 
+def unpruned(spec, extend=None):
+    """spec's stream as `enumerate_admissible(spec, extend=extend)` lists
+    it, walked by the unpruned reference: `_python_walk` with none of the
+    five cuts, which the production walk always makes."""
+    from addbasis.enumeration import _python_walk, _stem
+
+    stems = [(0,)] if extend is None else [_stem(b, spec.length) for b in extend]
+    return list(_python_walk(spec.length, spec.min_range, stems, False, spec.floors))
+
+
 @pytest.fixture(scope="session")
 def restricted_fixtures():
     from addbasis.catalog import extremal_restricted_fixtures

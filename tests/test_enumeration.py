@@ -12,6 +12,7 @@ from addbasis.core import MAX_ELEMENT, atomic_write, basis_range, read_bases, su
 from addbasis.enumeration import EnumSpec, Workers, _floor_step, _split, enumerate_admissible
 from addbasis.mitm import SearchTarget, upper_bound_restricted
 from addbasis.oracle import all_admissible
+from conftest import unpruned
 
 bases = st.lists(
     st.integers(min_value=1, max_value=80), max_size=8, unique=True
@@ -215,7 +216,7 @@ class TestGapsPrune:
         # one more element after (0, 1, 2) cannot cover [0, 12]
         spec = EnumSpec(3, 12)
         assert list(enumerate_admissible(spec, extend=[(0, 1, 2)])) == []
-        assert list(enumerate_admissible(spec, extend=[(0, 1, 2)], prune=False)) == []
+        assert unpruned(spec, extend=[(0, 1, 2)]) == []
 
     @settings(max_examples=300)
     @given(stem_specs())
@@ -232,7 +233,7 @@ class TestGapsPrune:
 
 class TestFloors:
     """A floored stream is the plain stream filtered by its floors, below
-    any stem, with prune on and off."""
+    any stem, walked by the production walk and the unpruned reference."""
 
     # the prefix stream of SearchTarget.create(14, 80): no floor below
     # depth 4, then 6, 12, 18 and 22
@@ -247,7 +248,7 @@ class TestFloors:
             if b[: len(stem)] == stem and basis_range(b) >= spec.min_range and meets(b, spec.floors)
         ]
         assert list(enumerate_admissible(spec, extend=[stem])) == expected
-        assert list(enumerate_admissible(spec, extend=[stem], prune=False)) == expected
+        assert unpruned(spec, extend=[stem]) == expected
 
     def test_a_stem_below_a_shallow_floor_is_empty(self):
         # (0, 1, 3) has range 4 < 5, and (0, 1, 3, 4) range 8 >= 5: only
@@ -297,7 +298,7 @@ class TestExtend:
         expected = list(enumerate_admissible(whole))
         parts = list(enumerate_admissible(EnumSpec(depth)))
         assert list(enumerate_admissible(whole, extend=parts)) == expected
-        assert list(enumerate_admissible(whole, extend=parts, prune=False)) == expected
+        assert unpruned(whole, extend=parts) == expected
         floors = whole.floors
         if whole.length >= 2 and max(floors[:-1]) == floors[-2]:
             # the shorter stream's min_range is the floor of its depth
@@ -382,7 +383,7 @@ class TestFloorStep:
                 for length in {target.pivot, target.suffix_length}:
                     spec = target.stream(length)
                     got = list(enumerate_admissible(spec))
-                    assert got == list(enumerate_admissible(spec, prune=False)), (pivot, n, length)
+                    assert got == unpruned(spec), (pivot, n, length)
 
     @pytest.mark.parametrize("processes", [2])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
@@ -419,15 +420,15 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 10])
     def test_prune_does_not_change_the_stream(self, k):
-        # prune=False tries every x and every final element, so this pins
-        # the run bound, the in-range cap and the exact last-element step
-        # as well as the counting cut; from k = 10 on, where prune=False
-        # takes about 0.14 s per stream, only the thresholds near n2(k)
+        # the unpruned reference tries every x and every final element, so
+        # this pins the run bound, the in-range cap and the exact
+        # last-element step as well as the counting cut; from k = 10 on,
+        # where the reference takes about 0.14 s per stream, only the
+        # thresholds near n2(k)
         top = DEFAULT.known_unrestricted_range(k)
         for threshold in range(top - 8 if k >= 10 else 0, top + 3):
-            with_prune = list(enumerate_admissible(EnumSpec(k, threshold), prune=True))
-            without = list(enumerate_admissible(EnumSpec(k, threshold), prune=False))
-            assert with_prune == without, threshold
+            spec = EnumSpec(k, threshold)
+            assert list(enumerate_admissible(spec)) == unpruned(spec), threshold
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("short", [1, 2])
@@ -438,7 +439,7 @@ class TestEnumerate:
             for threshold in range(DEFAULT.known_unrestricted_range(k) + 3):
                 spec = EnumSpec(k, threshold)
                 got = list(enumerate_admissible(spec, extend=[stem]))
-                assert got == list(enumerate_admissible(spec, extend=[stem], prune=False)), (stem, threshold)
+                assert got == unpruned(spec, extend=[stem]), (stem, threshold)
 
     @pytest.mark.parametrize("threshold,size", [(54, 4), (53, 5), (52, 35), (51, 56), (50, 213)])
     def test_descent_stream_sizes(self, threshold, size):
@@ -510,18 +511,20 @@ class TestWorkers:
         assert started_pools == []
 
     @pytest.mark.parametrize(
-        "spec,jobs",
-        [pytest.param(EnumSpec(n, r), j, id=f"{n}-{r}-{j}") for n, r, j in
+        "spec,processes,jobs",
+        [pytest.param(EnumSpec(n, r), 2, j, id=f"{n}-{r}-{j}") for n, r, j in
          [(10, 42, 17), (11, 50, 17), (12, 56, 65), (13, 60, 65)]]
-        + [pytest.param(walked_stream(k), j, id=f"k{k}-{j}") for k, j in [(24, 17), (25, 65), (41, 65)]],
+        + [pytest.param(walked_stream(k), 2, j, id=f"k{k}-{j}") for k, j in [(24, 17), (25, 65), (41, 65)]]
+        + [pytest.param(EnumSpec(10, 42), 3, 65, id="10-42-3-workers-65")],
     )
-    def test_split_by_levels_below_the_stems(self, spec, jobs):
+    def test_split_by_levels_below_the_stems(self, spec, processes, jobs):
         # 2 workers: the length-10 and 11 streams stop at 17 stems, 7 or
         # fewer levels above their leaves; longer ones go on to 65.  The
         # streams that the k = 24, 25 and 41 descents walk, of length 11,
         # 12 and 20, split into every admissible stem of their depth, as no
-        # floor drops one
-        assert len(_split(spec, 2, True)) == jobs
+        # floor drops one.  3 workers need 24 stems of (10, 42), past the
+        # 17 of depth 4
+        assert len(_split(spec, processes)) == jobs
 
     def test_split_drops_stems_below_a_floor(self):
         # the shorter stream of SearchTarget.create(12, 64): of the 17
@@ -539,7 +542,7 @@ class TestWorkers:
 
             workers.imap = counting_imap
             parallel = list(enumerate_admissible(spec, workers=workers))
-        assert [job[2] for job in sent] == [(stem,) for stem in _split(spec, 2, True)]
+        assert [job[2] for job in sent] == [(stem,) for stem in _split(spec, 2)]
         assert len(sent) == 8
         assert parallel == list(enumerate_admissible(spec))
 

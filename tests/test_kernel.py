@@ -4,7 +4,9 @@
 `_walk.c` when it loaded and holds the stream, and runs `_python_walk`
 otherwise.  Each differential test gives the same call to both: the
 reference is reached by `_walk.reference()`, which sets `_walk.lib`, the
-kernel handle, to None.
+kernel handle, to None.  The kernel always makes the five cuts; the
+`prune` parametrizations compare it with the reference both with its
+cuts and without them (`conftest.unpruned`).
 The build tests point the kernel cache at a temporary directory through
 XDG_CACHE_HOME.
 """
@@ -24,6 +26,7 @@ from addbasis.catalog import DEFAULT
 from addbasis.core import reaches_floors
 from addbasis.enumeration import EnumSpec, _iter_admissible, _split, enumerate_admissible
 from addbasis.mitm import SearchTarget, upper_bound_restricted
+from conftest import unpruned
 
 ROOT = Path(addbasis.__file__).resolve().parents[2]
 
@@ -42,9 +45,15 @@ def reference(call):
         return call()
 
 
-def assert_same_stream(spec, **kwargs):
-    walked = list(enumerate_admissible(spec, **kwargs))
-    assert walked == reference(lambda: list(enumerate_admissible(spec, **kwargs))), (spec, kwargs)
+def assert_same_stream(spec, extend=None, prune=True):
+    """The kernel's stream against the reference's, with its cuts or,
+    with prune=False, without them."""
+    walked = list(enumerate_admissible(spec, extend=extend))
+    if prune:
+        expected = reference(lambda: list(enumerate_admissible(spec, extend=extend)))
+    else:
+        expected = unpruned(spec, extend)
+    assert walked == expected, (spec, extend, prune)
     return walked
 
 
@@ -100,18 +109,18 @@ def test_multi_stem_extend(kernel, prune):
 def test_split_plans(kernel, k):
     target = SearchTarget.create(k, DEFAULT.known_restricted_range(k))
     for spec in [target.stream(target.pivot), EnumSpec(12, 56), EnumSpec(10, 30)]:
-        assert _split(spec, 2, True) == reference(lambda: _split(spec, 2, True))
+        assert _split(spec, 2) == reference(lambda: _split(spec, 2))
 
 
 def test_a_stream_past_the_widest_kernel_walks_in_python(kernel, monkeypatch, restricted_fixtures):
     # coverage of length L takes L(L+1) + 1 bits and min_range T takes
     # T + 1: the widest kernel, 512 bits, holds (22, 511) but not length
     # 23 or min_range 512, which walk in Python
-    widest = kernel.walk_new(22, 511, 1, None, 0)
+    widest = kernel.walk_new(22, 511, None, 0)
     assert widest is not None
     kernel.walk_free(widest)
-    assert kernel.walk_new(23, 0, 1, None, 0) is None
-    assert kernel.walk_new(3, 512, 1, None, 0) is None
+    assert kernel.walk_new(23, 0, None, 0) is None
+    assert kernel.walk_new(3, 512, None, 0) is None
     walks = []
     python_walk = enumeration._python_walk
 
@@ -130,8 +139,8 @@ def test_a_stream_past_the_widest_kernel_walks_in_python(kernel, monkeypatch, re
 def test_a_length_or_range_past_a_c_int_walks_in_python(kernel, monkeypatch):
     # ctypes would hand the kernel 2**32 + 5 as 5
     monkeypatch.setattr(enumeration, "_python_walk", lambda *args: iter([args[:2]]))
-    assert list(_iter_admissible(2**32 + 5, 0, [(0,)], True)) == [(2**32 + 5, 0)]
-    assert list(_iter_admissible(5, 2**32 + 5, [(0,)], True)) == [(5, 2**32 + 5)]
+    assert list(_iter_admissible(2**32 + 5, 0, [(0,)])) == [(2**32 + 5, 0)]
+    assert list(_iter_admissible(5, 2**32 + 5, [(0,)])) == [(5, 2**32 + 5)]
 
 
 def test_a_stem_past_the_bound_extends_to_nothing(kernel):
@@ -139,10 +148,10 @@ def test_a_stem_past_the_bound_extends_to_nothing(kernel):
     # other elements' sums is at most 10, below it, so the Python walk
     # gives such a stem no basis, and the kernel skips it
     stems = [(0, 1), (0, 1, 2, 11), (0, 11), (0, 1, 3)]
-    walked = list(_iter_admissible(4, 6, stems, True))
-    assert walked == reference(lambda: list(_iter_admissible(4, 6, stems, True)))
+    walked = list(_iter_admissible(4, 6, stems))
+    assert walked == reference(lambda: list(_iter_admissible(4, 6, stems)))
     assert walked == [b for stem in ((0, 1), (0, 1, 3)) for b in enumerate_admissible(EnumSpec(4, 6), extend=[stem])]
-    assert reference(lambda: list(_iter_admissible(4, 6, [(0, 11), (0, 1, 2, 3, 11)], True))) == []
+    assert reference(lambda: list(_iter_admissible(4, 6, [(0, 11), (0, 1, 2, 3, 11)]))) == []
 
 
 def test_a_closed_walk_frees_its_state(kernel, monkeypatch):

@@ -23,6 +23,7 @@ from addbasis.mitm import (
     upper_bound_restricted,
 )
 from addbasis.oracle import brute_force
+from conftest import unpruned
 
 K25_BASIS = (0, 1, 3, 4, 6, 10, 13, 15, 21, 29, 37, 45, 53,
              61, 69, 77, 85, 93, 99, 101, 104, 108, 110, 111, 113, 114)
@@ -150,8 +151,8 @@ class TestFloors:
 
     @pytest.mark.parametrize("k", range(3, 17))
     def test_descent_streams_are_the_filtered_plain_streams(self, k):
-        # both streams of every level, every pivot up to k = 9, with prune
-        # on and off and with 1 and 2 workers
+        # both streams of every level, every pivot up to k = 9, walked with
+        # 1 and 2 workers and by the unpruned reference
         pivots = range(1, k - 1) if k <= 9 else [None]
         with Workers(2) as workers:
             for target in descent_levels(k, pivots):
@@ -162,7 +163,7 @@ class TestFloors:
                         if all(basis_range(b[: d + 1]) >= f for d, f in enumerate(spec.floors, start=1))
                     ]
                     assert list(enumerate_admissible(spec)) == expected, (target, length)
-                    assert list(enumerate_admissible(spec, prune=False)) == expected, (target, length)
+                    assert unpruned(spec) == expected, (target, length)
                     assert list(enumerate_admissible(spec, workers=workers)) == expected, (target, length)
 
     @pytest.mark.parametrize("n,plain,floored", [(204, 4, 0), (202, 5, 0), (200, 35, 1), (198, 56, 3), (196, 213, 14)])
@@ -339,15 +340,11 @@ class TestSearch:
         # the search depends only on its streams: unpruned streams fed in
         # give the same report as the pruned ones it enumerates itself
         target = SearchTarget.create(9, 40)
-        prefixes = list(
-            enumerate_admissible(EnumSpec(target.pivot, target.prefix_min_range), prune=False)
-        )
-        suffixes = list(
-            enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range), prune=False)
-        )
-        unpruned = search_restricted(target, streams=(prefixes, suffixes))
-        assert unpruned == search_restricted(target)
-        assert unpruned.bases
+        prefixes = unpruned(EnumSpec(target.pivot, target.prefix_min_range))
+        suffixes = unpruned(EnumSpec(target.suffix_length, target.suffix_min_range))
+        report = search_restricted(target, streams=(prefixes, suffixes))
+        assert report == search_restricted(target)
+        assert report.bases
 
     def test_cache_round(self, tmp_path):
         target = SearchTarget.create(9, 40)
@@ -379,12 +376,17 @@ class TestExtension:
     so every longer basis begins with a shorter one."""
 
     @staticmethod
-    def check(k, pivots, workers=None, prune=True):
+    def check(k, pivots, workers=None, reference=False):
+        # reference: both walks by the unpruned reference
         levels = 0
         for target, short_spec, long_spec in one_longer_levels(k, pivots):
             assert long_spec.floors[short_spec.length - 1] == short_spec.min_range
-            short = list(enumerate_admissible(short_spec, prune=prune, workers=workers))
-            extended = list(enumerate_admissible(long_spec, prune=prune, extend=short))
+            if reference:
+                short = unpruned(short_spec)
+                extended = unpruned(long_spec, extend=short)
+            else:
+                short = list(enumerate_admissible(short_spec, workers=workers))
+                extended = list(enumerate_admissible(long_spec, extend=short))
             assert extended == list(enumerate_admissible(long_spec)), target
             levels += 1
         return levels
@@ -404,7 +406,7 @@ class TestExtension:
 
     @pytest.mark.parametrize("k", range(4, 13, 2))
     def test_prune_off(self, k):
-        assert self.check(k, [None], prune=False) > 0
+        assert self.check(k, [None], reference=True) > 0
 
     @pytest.mark.parametrize("k", range(4, 14))
     def test_search_equals_direct_streams(self, k):
@@ -428,10 +430,10 @@ class TestExtension:
         walked = []
         real = enumeration._iter_admissible
 
-        def spy(length, min_range, starts, prune, floors=()):
+        def spy(length, min_range, starts, floors=()):
             starts = list(starts)
             walked.append((length, len(starts)))
-            return real(length, min_range, starts, prune, floors)
+            return real(length, min_range, starts, floors)
 
         monkeypatch.setattr(enumeration, "_iter_admissible", spy)
         assert search_restricted(target).bases == ()

@@ -276,9 +276,10 @@ def io(args):
 
 # pool
 
-# the short descents, where a pool's start-up can outweigh its gain, and
-# the longer ones, where 2 workers win
-POOL_LENGTHS = (20, 21, 22, 26, 28)
+# descents on both sides of where 2 workers start to beat a serial run
+# with the compiled walker: serial wins up to k = 28, the two tie at
+# k = 30, and 2 workers win from k = 32 on (BENCH_29.json)
+POOL_LENGTHS = (22, 26, 30, 32, 34)
 POOL_PROCESSES = (1, 2)
 
 
@@ -302,7 +303,7 @@ def pool(args):
     """Time the n2* descent with and without a process pool.
 
     Each run is one `find_extremal_restricted(K, processes=N)` call, for
-    K = 20, 21, 22, 26, 28 and N = 1, 2, serial-first within a round.
+    K = 22, 26, 30, 32, 34 and N = 1, 2, serial-first within a round.
     For each run it reports the wall seconds (`time.perf_counter`), this
     process's own CPU seconds and the CPU seconds of the pool workers it
     reaped (`resource.getrusage`, RUSAGE_SELF and RUSAGE_CHILDREN).  A
@@ -340,7 +341,7 @@ def jobs_sent(spec: EnumSpec, shallow_levels: int | None = None) -> int:
     stems from `enumeration._split`, with SHALLOW_LEVELS set to
     shallow_levels (None: as shipped)."""
     with forced(shallow_levels):
-        return len(enumeration._split(spec, SPLIT_PROCESSES, True))
+        return len(enumeration._split(spec, SPLIT_PROCESSES))
 
 
 @contextlib.contextmanager
