@@ -13,7 +13,9 @@ attain the nonrestricted extremum.
 
 Also here: a disk cache of enumerated prefix streams keyed by (length,
 min_range, floors, tool version).  The cache reads and writes its entries
-through core (read_bases, write_bases, atomic_write).
+through core (read_bases, write_bases, atomic_write), and answers only
+the entry stored under the key it is asked for: cutting a stream down to
+floors is the walker's job, which the mitm search asks of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .core import Basis, as_basis, atomic_write, reaches_floors, read_bases, write_bases
+from .core import Basis, as_basis, atomic_write, read_bases, write_bases
 
 
 class CatalogMissingError(LookupError):
@@ -136,9 +138,10 @@ class PrefixCache:
     A stream with floors (see EnumSpec) is a subset of the plain stream of
     the same (length, min_range), so its entry carries the floors in a
     header line and a digest of them in its file name: it never answers a
-    plain request or one with other floors.  A plain entry, such as an
-    `enumerate --out` file, answers a floored request once filtered by the
-    floors.
+    plain request or one with other floors, and a plain entry, such as an
+    `enumerate --out` file, never answers a floored one.  The search cuts
+    a plain entry down to its floors with the walker (see
+    `mitm._level_streams`).
     """
 
     def __init__(self, directory) -> None:
@@ -150,14 +153,7 @@ class PrefixCache:
         return self.directory / f"prefixes-k{length}-r{min_range}{tag}-v{__version__}.txt"
 
     def load(self, length: int, min_range: int, floors: Sequence[int] = ()) -> list[Basis] | None:
-        bases = self._read(length, min_range, floors)
-        if bases is None and floors:
-            plain = self._read(length, min_range, ())
-            if plain is not None:
-                bases = [b for b in plain if reaches_floors(b, floors)]
-        return bases
-
-    def _read(self, length: int, min_range: int, floors: Sequence[int]) -> list[Basis] | None:
+        """The entry stored under this key, or None when there is none."""
         path = self.path_for(length, min_range, floors)
         if not path.exists():
             return None

@@ -5,7 +5,8 @@ whose pairwise sums (repetitions allowed) cover an initial segment of the
 integers.  Everything in this package reduces to three questions about a
 candidate set A: which sums does A + A hit, how far does the covered
 initial segment [0, n] extend (the range of A), and how does A relate to
-its mirror image b - A.
+its mirror image b - A.  The per-depth floors of a search stream are
+tested by the DFS walker of enumeration alone.
 
 Bases are plain tuples of ints; a 2-basis of *length* k has k + 1 elements
 because the mandatory leading 0 is not counted.  Sum coverage is kept as a
@@ -108,19 +109,6 @@ def basis_range(basis: Sequence[int]) -> int:
     bits = sumset_bits(basis)[1]
     # lowest zero bit of `bits`, minus one
     return ((~bits) & (bits + 1)).bit_length() - 2
-
-
-def reaches_floors(basis: Sequence[int], floors: Sequence[int]) -> bool:
-    """True when each prefix of depth d (its first d + 1 elements), for
-    d = 1 up to len(floors) or the basis's own length, has range >=
-    floors[d - 1]."""
-    mask = bits = 0
-    for d, a in enumerate(basis[: len(floors) + 1]):
-        mask |= 1 << a
-        bits |= mask << a
-        if d and ((~bits) & (bits + 1)).bit_length() - 1 <= floors[d - 1]:
-            return False
-    return True
 
 
 def mirror(elements: Iterable[int], b: int) -> tuple[int, ...]:

@@ -146,7 +146,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_ELEMENT, Basis, as_basis, reaches_floors, sumset_bits
+from .core import MAX_ELEMENT, Basis, as_basis
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,13 +299,19 @@ def _python_walk(
 
     two_short = kp1 - 2
     for stem in starts:
-        if floors and not reaches_floors(stem, floors):
-            continue
         *parent, last = stem
-        mask, cov = sumset_bits(parent)
+        # the parent's sums, built element by element, and the root check:
+        # the prefix of each depth d, the stem included, covers [0, floor[d]]
+        mask = cov = missed = 0
+        for d, a in enumerate(parent):
+            mask |= 1 << a
+            cov |= mask << a
+            missed |= floor_mask[d] & ~cov
+        c1 = cov | ((mask | (1 << last)) << last)
+        if missed or floor_mask[len(parent)] & ~c1:
+            continue
         first_gap = ((~cov) & (cov + 1)).bit_length() - 1
         if len(stem) == kp1:
-            c1 = cov | ((mask | (1 << last)) << last)
             if last <= first_gap and c1 & tmask == tmask:
                 yield tuple(stem)
             continue

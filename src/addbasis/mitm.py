@@ -91,6 +91,14 @@ top, so the report does not depend on the catalog value: one too high
 finds no basis down to it and steps on, and one too low costs only
 time, since the true level lies above it.  The catalog comparison of
 the `extremal` command stays an independent check.
+
+The walk's root check is the one filter of a stream by its floors.  A
+lower level's streams and a plain cache entry of the same (length,
+min_range), such as an `enumerate --out` file, each hold a stream of
+the level, which is cut from them by handing their bases to the walk
+as stems (`enumerate_admissible(spec, extend=...)`); the catalog only
+stores and loads entries.  The catalog's known values are read from
+`catalog.DEFAULT`.
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalog import DEFAULT, CatalogTable, PrefixCache
+from .catalog import DEFAULT, PrefixCache
 from .core import MAX_ELEMENT, Basis, mirror, sumset_bits
 from .enumeration import EnumSpec, Workers, enumerate_admissible
 
@@ -131,22 +139,8 @@ class SearchTarget:
     def suffix_length(self) -> int:
         return self.k - 1 - self.pivot
 
-    @property
-    def prefix_min_range(self) -> int:
-        return self.floors[self.pivot - 1]
-
-    @property
-    def suffix_min_range(self) -> int:
-        return self.floors[self.suffix_length - 1]
-
     @classmethod
-    def create(
-        cls,
-        k: int,
-        n: int,
-        pivot: int | None = None,
-        table: CatalogTable = DEFAULT,
-    ) -> "SearchTarget":
+    def create(cls, k: int, n: int, pivot: int | None = None) -> "SearchTarget":
         if k < 3:
             raise ValueError(f"meet-in-the-middle needs k >= 3, got {k}")
         if n < 0 or n % 2 != 0:
@@ -163,10 +157,10 @@ class SearchTarget:
         j = k - 1 - pivot
         # the least ranges of the two streams, the floors at depths i and
         # j, need n2(j - 1) and n2(i - 1) on record
-        table.known_unrestricted_range(j - 1)
-        table.known_unrestricted_range(pivot - 1)
+        DEFAULT.known_unrestricted_range(j - 1)
+        DEFAULT.known_unrestricted_range(pivot - 1)
         half = n // 2
-        n2 = table.unrestricted
+        n2 = DEFAULT.unrestricted
         return cls(
             k=k,
             n=n,
@@ -210,15 +204,15 @@ class SearchReport:
         return groups
 
 
-def upper_bound_restricted(k: int, table: CatalogTable = DEFAULT) -> int:
+def upper_bound_restricted(k: int) -> int:
     """Pairing upper bound on n2*(k), from splitting a restricted basis
     at r = floor(k/2) and bounding both halves by n2."""
     if k < 3:
         raise ValueError(f"the bound needs k >= 3, got {k}")
     r = k // 2
     if k % 2 == 0:
-        return 4 * table.known_unrestricted_range(r - 1) + 4
-    return 2 * table.known_unrestricted_range(r - 1) + 2 * table.known_unrestricted_range(r) + 4
+        return 4 * DEFAULT.known_unrestricted_range(r - 1) + 4
+    return 2 * DEFAULT.known_unrestricted_range(r - 1) + 2 * DEFAULT.known_unrestricted_range(r) + 4
 
 
 def _suffix_records(suffixes: Iterable[Basis], half: int):
@@ -306,7 +300,9 @@ def _level_streams(
        and pivot: the floors only rise with n, so its stream of length L
        holds this one, which is made by filtering it (its bases enter the
        walk as full-length stems, which take only the root check);
-    2. a cache hit;
+    2. a cache hit: the entry stored with the stream's floors, else the
+       plain (L, floor at depth L) entry, such as an `enumerate --out`
+       file, which holds the stream and is filtered as `lower` is;
     3. the stream of length L - 1 that this call made: its min_range is
        the floor at depth L - 1, so each basis of length L begins with
        one of its bases, and it is extended by one element in this
@@ -321,10 +317,14 @@ def _level_streams(
         spec = target.stream(length)
         if lower is not None:
             bases = list(enumerate_admissible(spec, extend=lower[0] if length == i else lower[1]))
-        elif cache is not None and (hit := cache.load(length, spec.min_range, spec.floors)) is not None:
+        elif cache is not None and (
+            (bases := cache.load(length, spec.min_range, spec.floors)) is not None
+            or (plain := cache.load(length, spec.min_range)) is not None
+        ):
+            if bases is None:
+                bases = list(enumerate_admissible(spec, extend=plain))
             if log:
-                log(f"cache hit: {len(hit)} bases of length {length}, range >= {spec.min_range}")
-            bases = hit
+                log(f"cache hit: {len(bases)} bases of length {length}, range >= {spec.min_range}")
         else:
             # one extended from the shorter stream is walked in this process
             bases = list(enumerate_admissible(spec, workers=workers, extend=made.get(length - 1)))
@@ -368,16 +368,14 @@ def search_restricted(
     return SearchReport(k=target.k, n=target.n, pivot=target.pivot, bases=tuple(sorted(found)))
 
 
-def _certainly_empty(target: SearchTarget, table: CatalogTable) -> bool:
-    """True when a stream's forced range exceeds the known extremal range
+def _certainly_empty(target: SearchTarget) -> bool:
+    """True when a stream's least range exceeds the known extremal range
     for its length, so the level cannot contain any basis."""
-    for length, min_range in (
-        (target.pivot, target.prefix_min_range),
-        (target.suffix_length, target.suffix_min_range),
-    ):
-        if length in table.unrestricted and min_range > table.unrestricted[length]:
-            return True
-    return False
+    n2 = DEFAULT.unrestricted
+    return any(
+        length in n2 and target.stream(length).min_range > n2[length]
+        for length in (target.pivot, target.suffix_length)
+    )
 
 
 def _schedule(top: int, first: int) -> Iterator[tuple[int, int]]:
@@ -397,7 +395,6 @@ def find_extremal_restricted(
     k: int,
     pivot: int | None = None,
     *,
-    table: CatalogTable = DEFAULT,
     processes: int = 1,
     cache: PrefixCache | None = None,
     log: Log | None = None,
@@ -414,7 +411,7 @@ def find_extremal_restricted(
     Each round of `_schedule` makes the streams of its base level
     before its first scan, and every higher level of the round filters
     them (`_level_streams` with `lower`).  The first base is n2*(k)
-    from `table.restricted` when that is even and at most the first
+    from `catalog.DEFAULT.restricted` when that is even and at most the first
     feasible level, else that level.  A base that is too high only adds
     rounds, and one that is too low only costs time, so the report does
     not depend on the hint.  With processes > 1 the base streams
@@ -424,25 +421,25 @@ def find_extremal_restricted(
     if k < 3:
         raise ValueError(f"extremal search needs k >= 3, got {k}")
     # even, as each of its terms is
-    top = upper_bound_restricted(k, table)
+    top = upper_bound_restricted(k)
     # the least ranges rise with n, so the levels the catalog rules out
     # lie above every other level
-    while top >= 2 and _certainly_empty(SearchTarget.create(k, top, pivot, table), table):
+    while top >= 2 and _certainly_empty(SearchTarget.create(k, top, pivot)):
         if log:
             log(f"k={k} n={top}: infeasible stream constraints, skipped")
         top -= 2
-    hint = table.restricted.get(k)
+    hint = DEFAULT.restricted.get(k)
     hinted = hint is not None and hint % 2 == 0 and hint <= top
     first = hint if hinted else top
     with Workers(processes) as workers:
         for high, base in _schedule(top, first):
             t0 = time.perf_counter()
             streams = _level_streams(
-                SearchTarget.create(k, base, pivot, table), workers=workers, cache=cache, log=log
+                SearchTarget.create(k, base, pivot), workers=workers, cache=cache, log=log
             )
             elapsed = time.perf_counter() - t0
             for n in range(high, base - 1, -2):
-                target = SearchTarget.create(k, n, pivot, table)
+                target = SearchTarget.create(k, n, pivot)
                 report = search_restricted(
                     target, streams=streams if n == base else _level_streams(target, lower=streams), log=log
                 )

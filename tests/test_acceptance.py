@@ -116,7 +116,7 @@ def test_criterion_5_length_41_seeded(restricted_fixtures):
     )
     cache_dir = Path(cache_dir)
     target = SearchTarget.create(41, 562)
-    assert target.pivot == 20 and target.prefix_min_range == 139
+    assert target.pivot == 20 and target.stream(20).min_range == 139
     if not cache_dir.exists():
         pytest.skip(
             "no prefix cache: enumerating the 5514 length-20 prefixes of "

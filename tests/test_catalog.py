@@ -10,6 +10,7 @@ from addbasis import catalog
 from addbasis.catalog import DEFAULT, CatalogMissingError, CatalogTable, PrefixCache
 from addbasis.cli import main
 from addbasis.core import classify, format_basis, read_bases, write_bases
+from addbasis.enumeration import EnumSpec, enumerate_admissible
 from addbasis.mitm import SearchTarget, _certainly_empty, search_restricted
 
 
@@ -67,14 +68,17 @@ class TestCatalogFile:
         loaded = catalog._load_fixture_file("rows.txt")
         assert loaded == {3: restricted_fixtures[3], 10: restricted_fixtures[10]}
 
-    def test_unknown_fields_parse_as_missing(self):
+    def test_unknown_fields_parse_as_missing(self, monkeypatch):
         table = CatalogTable(unrestricted={}, restricted={25: 228})
         with pytest.raises(CatalogMissingError):
             table.known_unrestricted_range(25)
         assert table.known_restricted_range(25) == 228
         # a length the table does not know never marks a level empty
         target = SearchTarget.create(9, 80, 1)
-        assert _certainly_empty(target, DEFAULT) and not _certainly_empty(target, table)
+        assert _certainly_empty(target)
+        for length in (target.pivot, target.suffix_length):
+            monkeypatch.delitem(DEFAULT.unrestricted, length)
+        assert not _certainly_empty(target)
 
     def test_bad_line_reports_position(self, data_dir):
         (data_dir / "rows.txt").write_text("3 8 S 0 1 3 4\n5 16 S 0 1 3\n")
@@ -217,7 +221,7 @@ class TestPrefixCache:
     def test_interrupted_store_leaves_no_entry(self, tmp_path):
         cache = PrefixCache(tmp_path)
         target = SearchTarget.create(5, 16)
-        key = (target.pivot, target.prefix_min_range)
+        key = (target.pivot, target.stream(target.pivot).min_range)
 
         def interrupted():
             yield (0, 1, 2)
@@ -247,9 +251,15 @@ class TestPrefixCache:
         # the prefixes of depth 3 have ranges 6 and 8
         plain = [(0, 1, 2, 4, 5), (0, 1, 3, 4, 5)]
         cache.store(4, 10, plain)
-        assert cache.load(4, 10, (0, 0, 6, 10)) == plain
-        assert cache.load(4, 10, (0, 0, 7, 10)) == [(0, 1, 3, 4, 5)]
-        assert cache.load(4, 10, (0, 5, 6, 10)) == []
+
+        def cut(floors):
+            return list(enumerate_admissible(EnumSpec(4, 10, floors=floors), extend=cache.load(4, 10)))
+
+        assert cut((0, 0, 6, 10)) == plain
+        assert cut((0, 0, 7, 10)) == [(0, 1, 3, 4, 5)]
+        assert cut((0, 5, 6, 10)) == []
+        # the cache answers only the key it is asked for
+        assert cache.load(4, 10, (0, 0, 6, 10)) is None
         assert cache.load(4, 10) == plain
 
     def test_floors_header_mismatch_detected(self, tmp_path):

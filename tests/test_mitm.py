@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from addbasis import enumeration, mitm
-from addbasis.catalog import DEFAULT, CatalogMissingError, CatalogTable, PrefixCache
+from addbasis.catalog import DEFAULT, CatalogMissingError, PrefixCache
 from addbasis.core import basis_range, classify, mirror
 from addbasis.enumeration import EnumSpec, Workers, enumerate_admissible
 from addbasis.mitm import (
@@ -119,8 +119,8 @@ class TestFloors:
                 i, j = target.pivot, target.suffix_length
                 assert len(target.floors) == max(i, j)
                 # the least ranges are the split bound at the pivot itself
-                assert target.prefix_min_range == max(0, target.n // 2 - DEFAULT.unrestricted[j - 1] - 2)
-                assert target.suffix_min_range == max(0, target.n // 2 - DEFAULT.unrestricted[i - 1] - 2)
+                assert target.stream(i).min_range == max(0, target.n // 2 - DEFAULT.unrestricted[j - 1] - 2)
+                assert target.stream(j).min_range == max(0, target.n // 2 - DEFAULT.unrestricted[i - 1] - 2)
                 lemma = n2_floors(k, target.n)
                 assert target.floors == tuple(max(0, lemma.get(d, 0)) for d in range(1, max(i, j) + 1))
 
@@ -178,20 +178,18 @@ class TestSearchTarget:
     def test_default_pivot_and_stream_bounds(self):
         target = SearchTarget.create(25, 228)
         assert target.pivot == 12 and target.suffix_length == 12
-        assert target.prefix_min_range == 58
-        assert target.suffix_min_range == 58
+        assert target.stream(12).min_range == 58
 
     def test_asymmetric_pivot(self):
         target = SearchTarget.create(10, 44, 5)
         assert target.suffix_length == 4
         # half - n2(j-1) - 2 and half - n2(i-1) - 2
-        assert target.prefix_min_range == 22 - 8 - 2
-        assert target.suffix_min_range == 22 - 12 - 2
+        assert target.stream(5).min_range == 22 - 8 - 2
+        assert target.stream(4).min_range == 22 - 12 - 2
 
     def test_bounds_clamped_at_zero(self):
         target = SearchTarget.create(10, 4)
-        assert target.prefix_min_range == 0
-        assert target.suffix_min_range == 0
+        assert target.floors == (0,) * 5
 
     def test_rejects_odd_range(self):
         with pytest.raises(ValueError, match="even"):
@@ -314,10 +312,9 @@ class TestSearch:
     def test_explicit_streams_match_enumerated(self):
         target = SearchTarget.create(9, 40)
         auto = search_restricted(target)
-        prefixes = list(enumerate_admissible(EnumSpec(target.pivot, target.prefix_min_range)))
-        suffixes = list(
-            enumerate_admissible(EnumSpec(target.suffix_length, target.suffix_min_range))
-        )
+        i, j = target.pivot, target.suffix_length
+        prefixes = list(enumerate_admissible(EnumSpec(i, target.floors[i - 1])))
+        suffixes = list(enumerate_admissible(EnumSpec(j, target.floors[j - 1])))
         seeded = search_restricted(target, streams=(prefixes, suffixes))
         assert seeded == auto
 
@@ -340,8 +337,9 @@ class TestSearch:
         # the search depends only on its streams: unpruned streams fed in
         # give the same report as the pruned ones it enumerates itself
         target = SearchTarget.create(9, 40)
-        prefixes = unpruned(EnumSpec(target.pivot, target.prefix_min_range))
-        suffixes = unpruned(EnumSpec(target.suffix_length, target.suffix_min_range))
+        i, j = target.pivot, target.suffix_length
+        prefixes = unpruned(EnumSpec(i, target.floors[i - 1]))
+        suffixes = unpruned(EnumSpec(j, target.floors[j - 1]))
         report = search_restricted(target, streams=(prefixes, suffixes))
         assert report == search_restricted(target)
         assert report.bases
@@ -487,9 +485,28 @@ class TestExtensionCache:
             cache.store(length, min_range, enumerate_admissible(EnumSpec(length, min_range)))
         messages = []
         assert search_restricted(self.TARGET, cache=cache, log=messages.append) == cold
-        # the hit is used as it is: only the shorter stream is enumerated
-        assert enum_calls == [(5, False)]
+        # a floored hit is used as it is and a plain one is cut to the
+        # floors below its bases: only the shorter stream is walked whole
+        assert enum_calls == [(5, False)] + ([] if floored else [(6, True)])
         assert any(f"bases of length {length}" in m and "cache hit" in m for m in messages)
+
+    def test_plain_entries_are_cut_by_the_walker(self, tmp_path, enum_calls):
+        cold = _level_streams(self.TARGET)
+        enum_calls.clear()
+        cache = PrefixCache(tmp_path)
+        for spec in (self.SHORT, self.LONG):
+            cache.store(spec.length, spec.min_range, enumerate_admissible(EnumSpec(spec.length, spec.min_range)))
+        # only the plain entries: one `extend` walk per length, which
+        # stores nothing
+        assert _level_streams(self.TARGET, cache=cache) == cold
+        assert enum_calls == [(5, True), (6, True)]
+        assert len(list(tmp_path.iterdir())) == 2
+        # with the floored entries beside them, those are taken unwalked
+        for spec, bases in zip((self.LONG, self.SHORT), cold):
+            cache.store(spec.length, spec.min_range, bases, spec.floors)
+        enum_calls.clear()
+        assert _level_streams(self.TARGET, cache=cache) == cold
+        assert enum_calls == []
 
     def test_given_streams_are_not_enumerated(self, enum_calls):
         # plain streams, without the floors, given as the pair: the search
@@ -517,11 +534,8 @@ class TestPairScan:
         # every pivot up to k = 11, the default pivot above
         pivots = range(1, k - 1) if k <= 11 else [None]
         for target in descent_levels(k, pivots):
-            self.check(
-                target,
-                stream(target.pivot, target.prefix_min_range),
-                stream(target.suffix_length, target.suffix_min_range),
-            )
+            i, j = target.pivot, target.suffix_length
+            self.check(target, stream(i, target.floors[i - 1]), stream(j, target.floors[j - 1]))
 
     # (0, 1, 3, 4) covers [0, 8] by itself: first gap 9 > n
     @example((SearchTarget.create(6, 8, 3), [(0, 1, 3, 4), (0, 1, 2, 3)], [(0, 1, 2), (0, 1, 3)]))
@@ -569,8 +583,8 @@ class TestFindExtremal:
     def test_infeasible_levels_detected(self):
         # a pivot-1 split at k=9 forces the length-7 suffix stream past
         # n2(7) = 26 once n is large enough
-        assert _certainly_empty(SearchTarget.create(9, 80, 1), DEFAULT)
-        assert not _certainly_empty(SearchTarget.create(9, 40, 1), DEFAULT)
+        assert _certainly_empty(SearchTarget.create(9, 80, 1))
+        assert not _certainly_empty(SearchTarget.create(9, 40, 1))
 
     @pytest.mark.parametrize("k,checked,n2,filtered", [
         (20, [164, 162, 160], 152, "160..154"),
@@ -582,9 +596,9 @@ class TestFindExtremal:
         events = []
         certainly_empty, search = mitm._certainly_empty, mitm.search_restricted
 
-        def empty_spy(target, table):
+        def empty_spy(target):
             events.append(target.n)
-            return certainly_empty(target, table)
+            return certainly_empty(target)
 
         def search_spy(target, **kwargs):
             events.append("scan")
@@ -603,13 +617,13 @@ class TestFindExtremal:
         assert rounds[0].endswith(f"; n={filtered} filtered from them")
 
 
-def stepwise_descent(k, pivot=None, table=DEFAULT, log=None):
+def stepwise_descent(k, pivot=None, log=None):
     """The descent with each level's streams enumerated directly, top
     down: the reference for the filtered one."""
-    bound = upper_bound_restricted(k, table)
+    bound = upper_bound_restricted(k)
     for n in range(bound - bound % 2, 1, -2):
-        target = SearchTarget.create(k, n, pivot, table)
-        if not _certainly_empty(target, table):
+        target = SearchTarget.create(k, n, pivot)
+        if not _certainly_empty(target):
             report = search_restricted(target, log=log)
             if report.bases:
                 return report
@@ -635,17 +649,15 @@ class TestFilteredDescent:
 
     @pytest.mark.parametrize("k", [12, 17, 20, 23])
     @pytest.mark.parametrize("hint", [2, 6, 1000, -2, -8, 1, None], ids=str)
-    def test_hint_does_not_change_the_report(self, k, hint):
+    def test_hint_does_not_change_the_report(self, k, hint, monkeypatch):
         # too high, above the top level, too low, odd, and missing
-        restricted = dict(DEFAULT.restricted)
-        if hint is None:
-            del restricted[k]
-        else:
-            restricted[k] += hint
         messages, expected_messages = [], []
-        table = CatalogTable(DEFAULT.unrestricted, restricted)
-        report = find_extremal_restricted(k, table=table, log=messages.append)
         expected = find_extremal_restricted(k, log=expected_messages.append)
+        if hint is None:
+            monkeypatch.delitem(DEFAULT.restricted, k)
+        else:
+            monkeypatch.setitem(DEFAULT.restricted, k, DEFAULT.restricted[k] + hint)
+        report = find_extremal_restricted(k, log=messages.append)
         assert report == expected
         # every level is scanned with the same stream sizes
         assert level_lines(messages) == level_lines(expected_messages)
@@ -727,14 +739,12 @@ class TestOnePool:
         assert len(started_pools) == 1
 
     def test_cached_level_starts_none(self, started_pools, tmp_path):
-        # plain streams under the plain key: the search filters them by
-        # its floors, so no stream is enumerated
+        # plain streams under the plain key: the search cuts them to its
+        # floors with an `extend` walk in this process, so no pool starts
         target = self.TARGET
         cache = PrefixCache(tmp_path)
-        for length, min_range in (
-            (target.pivot, target.prefix_min_range),
-            (target.suffix_length, target.suffix_min_range),
-        ):
+        for length in (target.pivot, target.suffix_length):
+            min_range = target.floors[length - 1]
             cache.store(length, min_range, enumerate_admissible(EnumSpec(length, min_range)))
         with Workers(2) as workers:
             report = search_restricted(target, workers=workers, cache=cache)

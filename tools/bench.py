@@ -199,8 +199,10 @@ def scan(args):
 # io
 
 # the length-10 streams of `search -k 21 -n 144`, whose least range is
-# 30: a plain (10, 30) entry answers them once filtered by their floors
-IO_FLOORED = SearchTarget.create(21, 144).stream(10)
+# 30: a plain (10, 30) entry answers them once the walker cuts it to
+# their floors
+IO_TARGET = SearchTarget.create(21, 144)
+IO_FLOORED = IO_TARGET.stream(10)
 IO_LENGTH, IO_MIN_RANGE, IO_FLOORS = IO_FLOORED.length, IO_FLOORED.min_range, IO_FLOORED.floors
 STEPS = ("store", "load", "load_floored", "classify", "verify")
 
@@ -219,7 +221,7 @@ def time_round(stream: list, floored: list) -> dict[str, float]:
         seconds["load"] = time.process_time() - start
 
         start = time.process_time()
-        filtered = cache.load(IO_LENGTH, IO_MIN_RANGE, IO_FLOORS)
+        filtered, _ = _level_streams(IO_TARGET, cache=cache)
         seconds["load_floored"] = time.process_time() - start
 
         start = time.process_time()
@@ -234,7 +236,7 @@ def time_round(stream: list, floored: list) -> dict[str, float]:
     if loaded != stream or not all(c.admissible and c.range >= IO_MIN_RANGE for c in classes):
         raise SystemExit("error: the loaded stream differs from the stored one, or misclassifies")
     if filtered != floored:
-        raise SystemExit("error: the plain entry filtered by the floors differs from the floored stream")
+        raise SystemExit("error: the plain entry cut to the floors differs from the floored stream")
     if code != 0:
         raise SystemExit(f"error: verify of the stored entry exited {code}")
     return seconds
@@ -251,8 +253,10 @@ def io(args):
                       directory;
         load          PrefixCache.load of that entry (read_bases on every
                       line);
-        load_floored  PrefixCache.load with those floors, answered from
-                      the plain entry filtered by reaches_floors, as a
+        load_floored  the streams of `search -k 21 -n 144` from that
+                      entry, `_level_streams(target, cache=cache)`: it
+                      finds no floored entry, loads the plain one and
+                      cuts it to the floors with the walker, as a
                       floored search takes a plain `enumerate --out`
                       entry; checked against the floored stream;
         classify      classify() of every loaded basis;
