@@ -4,17 +4,22 @@
  * of enumeration._python_walk and of the enumeration module say why each
  * cut is exact.
  *
- * Bit vectors are W words of 64 bits.  An admissible basis of length L has
- * elements at most L(L+1)/2, since a prefix of m elements has at most
- * m(m+1)/2 sums, so coverage fits in L(L+1) + 1 bits, and the range target
- * T takes T + 1.  The walker is instantiated for W = 2, 4, 6 and 8 by
- * including this file into itself, and walk_new picks the smallest width
- * that holds a stream; it returns NULL for a stream that none holds, so
- * that the caller walks it in Python.  walk_next skips a stem with an
- * element past the bound: such a stem extends to nothing, since the first
- * gap of its other elements' sums is at most L(L+1)/2, below its last
- * element, so the Python walk gives it no leaf and no child.  It skips an
- * empty, too long or not increasing stem too, which no caller passes.
+ * Bit vectors are W words of 64 bits.  The walk reads a coverage vector
+ * only up to its first gap and up to the range target T.  A node has at
+ * most L + 1 elements, so at most (L+1)(L+2)/2 distinct sums, and its
+ * first gap is at most that; so (L+1)(L+2)/2 + 1 bits, and T + 1, hold
+ * every bit it reads, and the sums past the width are dropped unread.  An
+ * admissible basis of length L has elements at most L(L+1)/2, since a
+ * prefix of m elements has at most m(m+1)/2 sums, which is below both.
+ * The walker is instantiated for W = 2, 4, 6 and 8 by including this file
+ * into itself, and walk_new picks the smallest width that holds a stream:
+ * 2 words for L <= 14, 4 for L <= 21, 6 for L <= 26 and 8 for L <= 30.
+ * It returns NULL for a stream that none holds, so that the caller walks
+ * it in Python.  walk_next skips a stem with an element past the bound:
+ * such a stem extends to nothing, since the first gap of its other
+ * elements' sums is at most L(L+1)/2, below its last element, so the
+ * Python walk gives it no leaf and no child.  It skips an empty, too long
+ * or not increasing stem too, which no caller passes.
  *
  * The walk is resumable: walk_stems hands it a batch of stems, and each
  * walk_next call writes at most `cap` bases into `out`, stopping wherever
@@ -30,8 +35,9 @@
 
 #define CAT2(a, b) a##b
 #define CAT(a, b) CAT2(a, b)
-/* the longest stream whose coverage, L(L+1) + 1 bits, fits in 8 words */
-#define MAX_LENGTH 22
+/* the longest stream whose first gap, (L+1)(L+2)/2 + 1 bits, fits in 8
+ * words */
+#define MAX_LENGTH 30
 
 /* Python's a // 2, which rounds toward minus infinity */
 static int floor_half(int a) { return a >= 0 ? a / 2 : -((1 - a) / 2); }
@@ -68,7 +74,7 @@ void *walk_new(int length, int min_range, const int *floors, int nfloors)
 {
     if (length < 1 || length > MAX_LENGTH || min_range < 0 || (nfloors && nfloors != length))
         return NULL;
-    int bits = length * (length + 1) + 1;
+    int bits = (length + 1) * (length + 2) / 2 + 1;
     if (min_range + 1 > bits)
         bits = min_range + 1;
     for (int d = 0; d < nfloors; d++)

@@ -126,7 +126,11 @@ def walk(
 ) -> Iterator[Basis]:
     """`enumeration._iter_admissible`'s stream, in the kernel when it
     loaded and its bit vectors hold the stream, and in
-    `enumeration._python_walk` otherwise.  The stems are bases, as
+    `enumeration._python_walk` otherwise.  The widest vectors, 512 bits,
+    hold every stream up to length 30 and min_range 511: the walk reads
+    a node's coverage up to its first gap, at most
+    (length + 1)(length + 2)/2, and up to min_range.  The stems are
+    bases, as
     `enumeration._stem` makes them, or the walker's own; the kernel skips
     one with an element past length * (length + 1) / 2, which extends to
     nothing (see `_walk.c`).

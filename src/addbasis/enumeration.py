@@ -120,21 +120,25 @@ without starting one.
 
 The walk runs in a compiled kernel, `_walk.c`, a port of `_python_walk`
 that pops the same nodes and yields the same bases in the same order,
-always with the five cuts, at 0.07-0.14x its CPU on the streams of
-`tools/bench.py dfs` (BENCH_28.json; 0.30x on (10, 30), whose time goes
+always with the five cuts, at 0.03-0.08x its CPU on the streams of
+`tools/bench.py dfs` (BENCH_31.json; 0.30x on (10, 30), whose time goes
 to rebuilding its 192,684 bases as tuples).  The first walk builds it
 with the system `cc -O2 -shared -fPIC` into $XDG_CACHE_HOME/addbasis (else
 ~/.cache/addbasis), under a name keyed by a zlib.crc32 of the machine
 type, the source and the command, and loads it with ctypes, which is
 imported only then.  Its
 bit vectors are 2, 4, 6 or 8 words of 64 bits, the fewest that hold the
-stream; 3, 5 and 7 words were slower than the next even width.  An
-admissible basis of length L has elements at most L(L+1)/2, since a
-prefix of m elements has at most m(m+1)/2 sums, so its coverage fits in
-L(L+1) + 1 bits, and the range target takes min_range + 1: 8 words hold
-every length up to 22, which is both streams of every k up to 45 at the
-default pivot.  A stem with an element past the bound extends to
-nothing, so the kernel skips it.  Any other stream walks in Python, as
+stream; 3, 5 and 7 words were slower than the next even width.  The
+walk reads a coverage vector only up to its first gap and up to the
+range target.  A node has at most L + 1 elements, so at most
+(L+1)(L+2)/2 distinct sums, and its first gap is at most that; so
+(L+1)(L+2)/2 + 1 bits, and min_range + 1, hold every bit it reads.  2
+words hold every length up to 14, 4 words up to 21, which is both
+streams of every k up to 43 at the default pivot, 6 words up to 26 and
+8 words up to 30.  An admissible basis of length L has elements at most
+L(L+1)/2, since a prefix of m elements has at most m(m+1)/2 sums; a stem
+with an element past that bound extends to nothing, so the kernel skips
+it.  Any other stream walks in Python, as
 every walk does where the kernel cannot be built (one line on stderr
 says why, unless no compiler is on PATH).  `_python_walk` is also the
 reference that the kernel is tested against, and with prune=False, which

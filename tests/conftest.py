@@ -60,6 +60,18 @@ def unpruned(spec, extend=None):
     return list(_python_walk(spec.length, spec.min_range, stems, False, spec.floors))
 
 
+@pytest.fixture
+def kernel():
+    """The compiled walker's library; the test skips where it cannot be
+    built, as with no C compiler on PATH."""
+    from addbasis import _walk
+
+    lib = _walk.kernel()
+    if lib is None:
+        pytest.skip("no kernel: no C compiler on PATH and none cached")
+    return lib
+
+
 @pytest.fixture(scope="session")
 def restricted_fixtures():
     from addbasis.catalog import extremal_restricted_fixtures

@@ -4,8 +4,12 @@ Each test exercises the stated command or function at full scale and
 asserts the published values exactly.  The conftest prints a one-line
 PASS/FAIL/NOT RUN summary per criterion after the run.  Criterion 5
 carries the `long` marker and is deselected by default; it also needs a
-prefix cache that takes ~100 CPU-hours to build and skips with an
-explanation when it is absent.
+prefix cache and skips with an explanation when it is absent.  That
+cache is the plain (20, 139) stream of 5,514 bases, with no floors,
+which takes about 100 CPU-hours to enumerate.  It is not the stream the
+program walks: `find_extremal_restricted(41)` walks the floored stream
+of its base level, in minutes and with no cache (the `long` test
+`test_mitm.py::TestFindExtremal::test_record_lengths_38_to_41`).
 """
 
 import json
@@ -119,8 +123,10 @@ def test_criterion_5_length_41_seeded(restricted_fixtures):
     assert target.pivot == 20 and target.stream(20).min_range == 139
     if not cache_dir.exists():
         pytest.skip(
-            "no prefix cache: enumerating the 5514 length-20 prefixes of "
-            "range >= 139 takes on the order of 100 CPU-hours; build it with "
+            "no prefix cache: enumerating the plain stream of the 5514 "
+            "length-20 prefixes of range >= 139, with no floors, takes on the "
+            "order of 100 CPU-hours (find_extremal_restricted(41) walks the "
+            "floored stream instead, in minutes and with no cache); build it with "
             "'addbasis enumerate -k 20 --min-range 139 --out "
             f"{cache_dir}/prefixes-k20-r139-v0.1.0.txt' on a large machine"
         )

@@ -31,14 +31,6 @@ from conftest import unpruned
 ROOT = Path(addbasis.__file__).resolve().parents[2]
 
 
-@pytest.fixture
-def kernel():
-    lib = _walk.kernel()
-    if lib is None:
-        pytest.skip("no kernel: no C compiler on PATH and none cached")
-    return lib
-
-
 def reference(call):
     """call() with every walk in it run in `_python_walk`."""
     with _walk.reference():
@@ -113,14 +105,29 @@ def test_split_plans(kernel, k):
         assert _split(spec, 2) == reference(lambda: _split(spec, 2))
 
 
+@pytest.mark.parametrize("length", [14, 15, 21, 22, 26, 27, 30])
+def test_each_width_boundary(kernel, length, restricted_fixtures):
+    # the kernel's widths end at L = 14, 21, 26 and 30: a stream on each
+    # side of each, three elements below a prefix of the k = 41 basis;
+    # at min_range 0 the width must hold the first gaps by itself
+    basis = restricted_fixtures[41][0].basis
+    stem = [basis[: length - 2]]
+    for spec in EnumSpec(length, basis_range(basis[: length + 1])), EnumSpec(length, 0):
+        walked = list(enumerate_admissible(spec, extend=stem))
+        assert _walk.nodes is not None
+        assert walked == reference(lambda: list(enumerate_admissible(spec, extend=stem)))
+        assert basis[: length + 1] in walked
+
+
 def test_a_stream_past_the_widest_kernel_walks_in_python(kernel, monkeypatch, restricted_fixtures):
-    # coverage of length L takes L(L+1) + 1 bits and min_range T takes
-    # T + 1: the widest kernel, 512 bits, holds (22, 511) but not length
-    # 23 or min_range 512, which walk in Python
-    widest = kernel.walk_new(22, 511, None, 0)
+    # a node of length L has at most (L+1)(L+2)/2 distinct sums, so its
+    # first gap takes (L+1)(L+2)/2 + 1 bits, and min_range T takes T + 1:
+    # the widest kernel, 512 bits, holds (30, 511) but not length 31 or
+    # min_range 512, which walk in Python
+    widest = kernel.walk_new(30, 511, None, 0)
     assert widest is not None
     kernel.walk_free(widest)
-    assert kernel.walk_new(23, 0, None, 0) is None
+    assert kernel.walk_new(31, 0, None, 0) is None
     assert kernel.walk_new(3, 512, None, 0) is None
     walks = []
     python_walk = enumeration._python_walk
@@ -130,11 +137,11 @@ def test_a_stream_past_the_widest_kernel_walks_in_python(kernel, monkeypatch, re
         return python_walk(*args)
 
     monkeypatch.setattr(enumeration, "_python_walk", spy)
-    basis = restricted_fixtures[23][0].basis
-    spec = EnumSpec(23, restricted_fixtures[23][0].range)
-    assert basis in assert_same_stream(spec, extend=[basis[:22]])
+    basis = restricted_fixtures[31][0].basis
+    spec = EnumSpec(31, restricted_fixtures[31][0].range)
+    assert basis in assert_same_stream(spec, extend=[basis[:30]])
     assert assert_same_stream(EnumSpec(3, 512)) == []
-    assert (23, spec.min_range) in walks and (3, 512) in walks
+    assert (31, spec.min_range) in walks and (3, 512) in walks
 
 
 def test_a_length_or_range_past_a_c_int_walks_in_python(kernel, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 
 from addbasis import _walk
 from addbasis.catalog import DEFAULT
-from addbasis.enumeration import enumerate_admissible
+from addbasis.enumeration import EnumSpec, enumerate_admissible
 from addbasis.mitm import SearchTarget, _level_streams
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -74,19 +74,33 @@ def test_dfs_walks_the_shorter_stream_of_a_descent(bench, k, count):
     assert len(shorter) == count
 
 
-def test_dfs_counts_the_kernel_nodes(bench):
+def test_dfs_counts_the_kernel_nodes(bench, kernel):
     # the k = 30 base stream pops 569,467 nodes in the Python walk too
-    if _walk.kernel() is None:
-        pytest.skip("no kernel: no C compiler on PATH and none cached")
     assert bench.kernel_nodes(bench.descent_spec(30)) == 569_467
     with _walk.reference():
         assert bench.kernel_nodes(bench.descent_spec(30)) is None
 
 
+def test_dfs_against_a_checkout(bench):
+    # the repository against itself on two small streams, one fresh
+    # process per side and stream, so both sides walk the same stream
+    streams = [(None, EnumSpec(8, 20)), (22, bench.descent_spec(22))]
+    printed = list(bench.dfs_against(streams, TOOLS.parent, 1))
+    assert [(row["length"], row["floors_of"]) for row in printed] == [(8, None), (10, "k=22")]
+    walked = list(enumerate_admissible(bench.descent_spec(22)))
+    assert printed[1]["bases"] == len(walked) and printed[1]["this_nodes"] == _walk.nodes
+    assert all(row["same_nodes"] and row["same_stream"] for row in printed)
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["scan", "--rounds", "0"], ["startup", "--lengths", "26-20"], ["startup", "--against", str(TOOLS)]],
-    ids=["rounds-0", "lengths-descending", "against-no-checkout"],
+    [
+        ["scan", "--rounds", "0"],
+        ["startup", "--lengths", "26-20"],
+        ["startup", "--against", str(TOOLS)],
+        ["dfs", "--against", str(TOOLS)],
+    ],
+    ids=["rounds-0", "lengths-descending", "against-no-checkout", "dfs-against-no-checkout"],
 )
 def test_usage_error(argv):
     assert run_bench(*argv, code=2) == ""

@@ -7,6 +7,7 @@ says what the layer's cases are and why.
 
 Run from the repository root:
     python tools/bench.py dfs --rounds 5
+    python tools/bench.py dfs --rounds 5 --against ../parent
     python tools/bench.py split --rounds 3 --stream 11,50
     python tools/bench.py startup --rounds 20 --against ../parent --lengths 20-26 --threads 1 2
 
@@ -56,6 +57,30 @@ def median_row(samples: list[dict[str, float]], *, listed: str = "samples",
     return row
 
 
+# fresh processes of a checkout
+
+def checkout_dir(text: str) -> Path:
+    """A second checkout: a directory with src/addbasis in it."""
+    path = Path(text)
+    if not (path / "src" / "addbasis").is_dir():
+        raise argparse.ArgumentTypeError(f"{text}: no src/addbasis there")
+    return path.resolve()
+
+
+def run(checkout: Path, code: str, *argv: str) -> tuple[float, str]:
+    """(wall seconds, stdout) of one fresh `python -c code argv...` that
+    imports addbasis from checkout/src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=600
+    )
+    wall = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv) or code!r} exited {proc.returncode}\n{proc.stderr}")
+    return wall, proc.stdout
+
+
 # dfs
 
 PLAIN = (
@@ -79,6 +104,59 @@ def kernel_nodes(spec: EnumSpec) -> int | None:
     for _ in enumerate_admissible(spec):
         pass
     return _walk.nodes
+
+
+# one kernel walk of the stream `length min_range floors...` in a fresh
+# process, from the root: its CPU seconds, bases, kernel nodes (None where
+# it walked in Python) and a CRC-32 of the stream; the kernel is loaded,
+# or built, before the clock starts
+WALK = """
+import sys, time, zlib
+from addbasis import _walk
+from addbasis.enumeration import EnumSpec, enumerate_admissible
+length, min_range, *floors = map(int, sys.argv[1:])
+spec = EnumSpec(length, min_range, floors=tuple(floors))
+_walk.kernel()
+start = time.process_time()
+bases = list(enumerate_admissible(spec))
+cpu = time.process_time() - start
+print(cpu, len(bases), _walk.nodes, zlib.crc32(repr(bases).encode()))
+"""
+
+
+def walk_sample(checkout: Path, spec: EnumSpec) -> dict:
+    """One kernel walk of spec on checkout, in a fresh process."""
+    _, out = run(checkout, WALK, *map(str, (spec.length, spec.min_range, *spec.floors)))
+    cpu, bases, nodes, crc = out.split()
+    return {"cpu_s": float(cpu), "bases": int(bases), "nodes": None if nodes == "None" else int(nodes), "crc": int(crc)}
+
+
+def dfs_against(streams: list, against: Path, rounds: int):
+    """The `--against` rows of `dfs`: each stream's kernel walk on this
+    checkout and on the other, in alternating fresh processes."""
+    sides = {"this": ROOT, "against": against}
+    for k, spec in streams:
+        samples = {side: [] for side in sides}
+        for r in range(rounds):
+            for side in sides if r % 2 == 0 else list(sides)[::-1]:
+                samples[side].append(walk_sample(sides[side], spec))
+        this, other = samples["this"][0], samples["against"][0]
+        medians = {side: statistics.median(s["cpu_s"] for s in samples[side]) for side in sides}
+        yield {
+            "length": spec.length,
+            "min_range": spec.min_range,
+            "floors_of": None if k is None else f"k={k}",
+            "bases": this["bases"],
+            "this_nodes": this["nodes"],
+            "against_nodes": other["nodes"],
+            "same_nodes": this["nodes"] == other["nodes"],
+            "same_stream": (this["bases"], this["crc"]) == (other["bases"], other["crc"]),
+            "this_cpu_s": round(medians["this"], 4),
+            "against_cpu_s": round(medians["against"], 4),
+            "ratio": round(medians["this"] / medians["against"], 3) if medians["against"] else None,
+            "this_samples": [round(s["cpu_s"], 4) for s in samples["this"]],
+            "against_samples": [round(s["cpu_s"], 4) for s in samples["against"]],
+        }
 
 
 def dfs(args):
@@ -105,10 +183,22 @@ def dfs(args):
     over rounds of each side's CPU seconds, their ratio (kernel /
     Python), and the kernel's bases per second.  Without a kernel both
     sides run in Python.
+
+    With `--against DIR`, the kernel of this checkout is timed against
+    the kernel of the checkout in DIR instead, and Python not at all.
+    Each sample is one walk in a fresh process that imports addbasis
+    from one checkout; the two checkouts alternate, and which goes first
+    alternates per round.  Each row gives both sides' median CPU seconds,
+    their ratio (this / against), both sides' kernel nodes, and whether
+    the nodes and the streams (their size and a CRC-32 of the bases)
+    agree.
     """
     # (descent, spec); descent None for a plain stream
     streams = [(None, EnumSpec(*s)) for s in PLAIN]
     streams += [(k, descent_spec(k)) for k in DESCENTS]
+    if args.against is not None:
+        yield from dfs_against(streams, args.against, args.rounds)
+        return
     times: list[list[dict[str, float]]] = [[] for _ in streams]
     counts: list[int] = [0] * len(streams)
     for r in range(args.rounds):
@@ -426,28 +516,6 @@ def lengths(text: str) -> list[int]:
     return list(range(first, last + 1))
 
 
-def checkout_dir(text: str) -> Path:
-    """A second checkout: a directory with src/addbasis in it."""
-    path = Path(text)
-    if not (path / "src" / "addbasis").is_dir():
-        raise argparse.ArgumentTypeError(f"{text}: no src/addbasis there")
-    return path.resolve()
-
-
-def run(checkout: Path, code: str, *argv: str) -> tuple[float, str]:
-    """(wall seconds, stdout) of one fresh `python -c code argv...` that
-    imports addbasis from checkout/src."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=600
-    )
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(argv) or code!r} exited {proc.returncode}\n{proc.stderr}")
-    return wall, proc.stdout
-
-
 def sample(checkout: Path, case: tuple) -> tuple[float, str]:
     """(seconds, output) of one sample of case on checkout."""
     if case[0] == "python":
@@ -534,8 +602,9 @@ def main(argv: list[str] | None = None) -> int:
                                      help="K of the extremal runs, as K or FIRST-LAST (default 20-26)")
     commands["startup"].add_argument("--threads", type=int, nargs="+", default=[1, 2],
                                      help="--threads values of the extremal runs (default 1 2)")
-    commands["startup"].add_argument("--against", type=checkout_dir,
-                                     help="a second checkout, sampled alternately")
+    for command in ("dfs", "startup"):
+        commands[command].add_argument("--against", type=checkout_dir,
+                                       help="a second checkout, sampled alternately")
     args = parser.parse_args(argv)
     for row in args.command(args):
         print(json.dumps(row), flush=True)
